@@ -8,6 +8,8 @@
 //   bench_selfperf --quick                 # ctest smoke (smaller workloads)
 //   bench_selfperf --baseline=PATH         # compare against a captured baseline
 //   bench_selfperf --baseline-out=PATH     # capture this run as the baseline
+//   bench_selfperf --max-workload-allocs-per-event=X   # fail above X (n=40)
+//   bench_selfperf --max-bigload-allocs-per-event=X    # fail above X (n=100)
 //
 // Two workloads:
 //   engine    — a pure event-engine storm (64 timer chains), measuring
@@ -231,7 +233,8 @@ int main(int argc, char** argv) {
   std::string out = "BENCH_selfperf.json";
   std::string baseline_in;
   std::string baseline_out;
-  double max_bigload_allocs = 0;  // 0 = no gate
+  double max_bigload_allocs = 0;   // 0 = no gate
+  double max_workload_allocs = 0;  // 0 = no gate
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--quick") == 0) {
@@ -244,13 +247,18 @@ int main(int argc, char** argv) {
       baseline_out = arg + 15;
     } else if (std::strncmp(arg, "--max-bigload-allocs-per-event=", 31) == 0) {
       max_bigload_allocs = std::atof(arg + 31);
+    } else if (std::strncmp(arg, "--max-workload-allocs-per-event=", 32) ==
+               0) {
+      max_workload_allocs = std::atof(arg + 32);
     } else {
       std::fprintf(stderr,
                    "usage: bench_selfperf [--quick] [--out=PATH]\n"
                    "                      [--baseline=PATH] "
                    "[--baseline-out=PATH]\n"
                    "                      "
-                   "[--max-bigload-allocs-per-event=X]\n");
+                   "[--max-bigload-allocs-per-event=X]\n"
+                   "                      "
+                   "[--max-workload-allocs-per-event=X]\n");
       return 2;
     }
   }
@@ -278,6 +286,13 @@ int main(int argc, char** argv) {
                wl.events_per_sec() / 1e6, wl.sim_per_wall(),
                wl.allocs_per_event(),
                static_cast<unsigned long long>(wl.committed_ops));
+  if (max_workload_allocs > 0 && wl.allocs_per_event() > max_workload_allocs) {
+    std::fprintf(stderr,
+                 "ALLOCS-PER-EVENT REGRESSION: workload %.3f > limit %.3f "
+                 "(is a receive path copying proposal bytes again?)\n",
+                 wl.allocs_per_event(), max_workload_allocs);
+    return 1;
+  }
 
   const double bigload_sim_seconds = quick ? 0.5 : 2.0;
   std::fprintf(stderr, "bigload: n=100, %.1f sim-seconds...\n",

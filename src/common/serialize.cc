@@ -1,19 +1,26 @@
 #include "common/serialize.h"
 
+#include <algorithm>
+
 namespace marlin {
 
-void Writer::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
+namespace {
+// Little-endian bytes of `v` appended with one insert.
+template <typename T>
+void append_le(Bytes& buf, T v) {
+  std::uint8_t le[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  buf.insert(buf.end(), le, le + sizeof(T));
 }
+}  // namespace
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void Writer::u16(std::uint16_t v) { append_le(buf_, v); }
 
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void Writer::u32(std::uint32_t v) { append_le(buf_, v); }
+
+void Writer::u64(std::uint64_t v) { append_le(buf_, v); }
 
 void Writer::i64(std::int64_t v) {
   u64(static_cast<std::uint64_t>(v));
@@ -39,6 +46,11 @@ void Writer::str(std::string_view v) {
 
 void Writer::raw(BytesView v) {
   buf_.insert(buf_.end(), v.begin(), v.end());
+}
+
+void Writer::filled_bytes(std::size_t n, std::uint8_t filler) {
+  varint(n);
+  buf_.insert(buf_.end(), n, filler);
 }
 
 Status Reader::need(std::size_t n) const {
@@ -123,6 +135,26 @@ Status Reader::bytes(Bytes& out) {
   return raw(static_cast<std::size_t>(len), out);
 }
 
+Status Reader::bytes(PayloadSlice& out) {
+  std::uint64_t len = 0;
+  if (Status s = varint(len); !s.is_ok()) return s;
+  if (Status s = need(len); !s.is_ok()) return s;
+  const BytesView range = data_.subspan(pos_, static_cast<std::size_t>(len));
+  out = backing_ != nullptr ? PayloadSlice(*backing_, range)
+                            : PayloadSlice(Bytes(range.begin(), range.end()));
+  pos_ += static_cast<std::size_t>(len);
+  return Status::ok();
+}
+
+Status Reader::skip_bytes(std::size_t& len) {
+  std::uint64_t n = 0;
+  if (Status s = varint(n); !s.is_ok()) return s;
+  if (Status s = need(n); !s.is_ok()) return s;
+  len = static_cast<std::size_t>(n);
+  pos_ += len;
+  return Status::ok();
+}
+
 Status Reader::str(std::string& out) {
   Bytes tmp;
   if (Status s = bytes(tmp); !s.is_ok()) return s;
@@ -135,6 +167,18 @@ Status Reader::raw(std::size_t n, Bytes& out) {
   out.assign(data_.begin() + pos_, data_.begin() + pos_ + n);
   pos_ += n;
   return Status::ok();
+}
+
+Status Reader::raw(std::size_t n, std::uint8_t* out) {
+  if (Status s = need(n); !s.is_ok()) return s;
+  std::copy_n(data_.begin() + pos_, n, out);
+  pos_ += n;
+  return Status::ok();
+}
+
+PayloadSlice Reader::backed_since(std::size_t from) const {
+  if (backing_ == nullptr) return {};
+  return PayloadSlice(*backing_, data_.subspan(from, pos_ - from));
 }
 
 Status Reader::expect_exhausted() const {

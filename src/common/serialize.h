@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "common/bytes.h"
+#include "common/payload.h"
 #include "common/status.h"
 
 namespace marlin {
@@ -32,6 +33,9 @@ class Writer {
   void bytes(BytesView v);              // varint length + payload
   void str(std::string_view v);
   void raw(BytesView v);                // no length prefix
+  /// varint length + `n` copies of `filler`, written straight into the
+  /// buffer (no temporary).
+  void filled_bytes(std::size_t n, std::uint8_t filler);
 
   const Bytes& buffer() const& { return buf_; }
   Bytes take() && { return std::move(buf_); }
@@ -43,9 +47,15 @@ class Writer {
 
 /// Bounds-checked decoder over a non-owned view. Every accessor reports
 /// truncation/overflow through Status instead of UB.
+///
+/// A Reader over a view inside a Payload (the second constructor) decodes
+/// byte strings as PayloadSlices that alias that buffer; without a backing
+/// Payload a slice gets a buffer of its own.
 class Reader {
  public:
   explicit Reader(BytesView data) : data_(data) {}
+  Reader(const Payload& backing, BytesView data)
+      : data_(data), backing_(&backing) {}
 
   Status u8(std::uint8_t& out);
   Status u16(std::uint16_t& out);
@@ -55,9 +65,21 @@ class Reader {
   Status varint(std::uint64_t& out);
   Status boolean(bool& out);
   Status bytes(Bytes& out);
+  Status bytes(PayloadSlice& out);
+  /// Reads a varint length and steps over that many bytes; `len` gets the
+  /// length.
+  Status skip_bytes(std::size_t& len);
   Status str(std::string& out);
   /// Reads exactly `n` raw bytes.
   Status raw(std::size_t n, Bytes& out);
+  /// Reads exactly `n` raw bytes into `out` (no allocation).
+  Status raw(std::size_t n, std::uint8_t* out);
+
+  /// Offset of the next unread byte.
+  std::size_t position() const { return pos_; }
+  /// The bytes read since offset `from`, aliasing the backing Payload;
+  /// empty when this Reader has none.
+  PayloadSlice backed_since(std::size_t from) const;
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return remaining() == 0; }
@@ -70,6 +92,7 @@ class Reader {
   Status need(std::size_t n) const;
 
   BytesView data_;
+  const Payload* backing_ = nullptr;
   std::size_t pos_ = 0;
 };
 
@@ -81,15 +104,21 @@ Bytes encode_to_bytes(const T& value) {
   return std::move(w).take();
 }
 
-/// Convenience: decode any type that provides
-/// `static Result<T> decode(Reader&)`, requiring full consumption.
+/// Decodes any type that provides `static Result<T> decode(Reader&)`,
+/// requiring the reader's whole input to be consumed.
 template <typename T>
-Result<T> decode_from_bytes(BytesView data) {
-  Reader r(data);
+Result<T> decode_all(Reader& r) {
   Result<T> out = T::decode(r);
   if (!out.is_ok()) return out;
   if (Status s = r.expect_exhausted(); !s.is_ok()) return s;
   return out;
+}
+
+/// Convenience: decode_all over an unbacked view (byte strings copied).
+template <typename T>
+Result<T> decode_from_bytes(BytesView data) {
+  Reader r(data);
+  return decode_all<T>(r);
 }
 
 }  // namespace marlin

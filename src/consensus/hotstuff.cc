@@ -109,18 +109,17 @@ void HotStuffReplica::propose(bool force) {
   b.justify = Justify{qc, {}};
 
   env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
-  store_.insert(b);
-
   const Height proposed_height = b.height;
   const std::size_t proposed_ops = b.ops.size();
-  const Hash256 proposed_hash = b.hash();
 
   types::ProposalMsg msg;
   msg.phase = Phase::kPrepare;
   msg.view = cview_;
   msg.entries.push_back(types::ProposalEntry{std::move(b), Justify{qc, {}}});
+  const Envelope env = types::make_envelope(MsgKind::kProposal, msg);
+  const Hash256 proposed_hash = store_proposed(env);
   propose_ready_ = false;
-  broadcast(types::make_envelope(MsgKind::kProposal, msg));
+  broadcast(env);
   if (proposed_ops > 0) {
     trace({.type = obs::EventType::kBatchDequeued,
            .height = proposed_height,
@@ -180,10 +179,13 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
 
   env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
   const Hash256 h = b.hash();
-  store_.insert(b);
+  // The decoded block moves into the store: its ops keep aliasing the
+  // proposal frame and its digest stays memoized.
+  store_.insert(std::move(msg.entries[0].block));
+  const Block& stored = *store_.get(h);
   trace({.type = obs::EventType::kProposalReceived,
          .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = b.height,
+         .height = stored.height,
          .block = trace_block_id(h),
          .a = from});
 
@@ -191,21 +193,21 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
   vote.phase = Phase::kPrepare;
   vote.view = cview_;
   vote.block_hash = h;
-  vote.parsig = sign_digest(
-      digest_for(QcType::kPrepare, h, b.view, b.height, b.parent_view));
+  vote.parsig = sign_digest(digest_for(QcType::kPrepare, h, stored.view,
+                                       stored.height, stored.parent_view));
 
   // Write-ahead voting: advance the voted watermark durably before the
   // vote leaves, or a crash+restart could vote again at this (view,
   // height) for a conflicting block.
-  lb_view_ = b.view;
-  lb_height_ = b.height;
+  lb_view_ = stored.view;
+  lb_height_ = stored.height;
   if (qc_higher(qc, prepare_qc_high_)) prepare_qc_high_ = qc;
   persist();
 
   send_to(from, types::make_envelope(MsgKind::kVote, vote));
   trace({.type = obs::EventType::kVoteSent,
          .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = b.height,
+         .height = stored.height,
          .block = trace_block_id(h),
          .a = from});
 }

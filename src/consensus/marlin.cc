@@ -161,18 +161,17 @@ void MarlinReplica::propose_normal(bool force) {
   b.justify = Justify{qc, std::nullopt};
 
   env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
-  store_.insert(b);
-
   const Height proposed_height = b.height;
   const std::size_t proposed_ops = b.ops.size();
-  const Hash256 proposed_hash = b.hash();
 
   types::ProposalMsg msg;
   msg.phase = Phase::kPrepare;
   msg.view = cview_;
   msg.entries.push_back(types::ProposalEntry{std::move(b), Justify{qc, {}}});
+  const Envelope env = types::make_envelope(MsgKind::kProposal, msg);
+  const Hash256 proposed_hash = store_proposed(env);
   propose_ready_ = false;
-  broadcast(types::make_envelope(MsgKind::kProposal, msg));
+  broadcast(env);
   if (proposed_ops > 0) {
     trace({.type = obs::EventType::kBatchDequeued,
            .height = proposed_height,
@@ -213,7 +212,7 @@ void MarlinReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
 }
 
 void MarlinReplica::handle_prepare_proposal(ReplicaId from,
-                                            const types::ProposalMsg& msg) {
+                                            types::ProposalMsg& msg) {
   if (msg.entries.size() != 1) return;
   const Block& b = msg.entries[0].block;
   const Justify& j = msg.entries[0].justify;
@@ -236,13 +235,16 @@ void MarlinReplica::handle_prepare_proposal(ReplicaId from,
   const Hash256 h = b.hash();
   if (!block_ref_rank_greater(b.view, b.height, b.justify)) return;
 
-  store_.insert(b);
+  // The decoded block moves into the store: its ops keep aliasing the
+  // proposal frame and its digest stays memoized.
+  store_.insert(std::move(msg.entries[0].block));
+  const Block& stored = *store_.get(h);
   trace({.type = obs::EventType::kProposalReceived,
          .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = b.height,
+         .height = stored.height,
          .block = trace_block_id(h),
          .a = from});
-  const Hash256 digest = prepare_digest_for_block(b, h);
+  const Hash256 digest = prepare_digest_for_block(stored, h);
   types::VoteMsg vote;
   vote.phase = Phase::kPrepare;
   vote.view = cview_;
@@ -252,7 +254,7 @@ void MarlinReplica::handle_prepare_proposal(ReplicaId from,
   // Write-ahead voting: the voted/locked state must be durable before the
   // vote leaves this replica, or a crash+restart could vote again at the
   // same (view, height) for a different block.
-  lb_ = BlockRef{h, b.view, b.height, b.parent_view, false};
+  lb_ = BlockRef{h, stored.view, stored.height, stored.parent_view, false};
   update_high_qc(j);
   update_locked(qc);
   persist();
@@ -260,7 +262,7 @@ void MarlinReplica::handle_prepare_proposal(ReplicaId from,
   send_to(from, types::make_envelope(MsgKind::kVote, vote));
   trace({.type = obs::EventType::kVoteSent,
          .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = b.height,
+         .height = stored.height,
          .block = trace_block_id(h),
          .a = from});
 }

@@ -71,7 +71,7 @@ class MarlinReplica : public ReplicaBase {
 
   // -- normal case ----------------------------------------------------------
   void propose_normal(bool force);
-  void handle_prepare_proposal(ReplicaId from, const types::ProposalMsg& msg);
+  void handle_prepare_proposal(ReplicaId from, types::ProposalMsg& msg);
   void handle_commit_notice(ReplicaId from, const types::QcNoticeMsg& msg);
   void handle_decide_notice(ReplicaId from, const types::QcNoticeMsg& msg);
 

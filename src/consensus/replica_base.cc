@@ -278,6 +278,15 @@ void ReplicaBase::check_timeout_quorum() {
   if (vstar >= cview_) advance_to_view(vstar + 1);
 }
 
+Hash256 ReplicaBase::store_proposed(const Envelope& env) {
+  types::ProposalMsg sent =
+      std::move(types::open_envelope<types::ProposalMsg>(env)).take();
+  Block& b = sent.entries.front().block;
+  const Hash256 h = b.hash();
+  store_.insert(std::move(b));
+  return h;
+}
+
 void ReplicaBase::submit(types::Operation op) {
   pool_.add(std::move(op), env_.now());
   maybe_propose();

@@ -255,6 +255,14 @@ class ReplicaBase {
   void send_to(ReplicaId to, const Envelope& env) { env_.send(to, env); }
   void broadcast(const Envelope& env) { env_.broadcast(env); }
 
+  /// Stores the block of the one-entry proposal `env` this replica is
+  /// about to broadcast, decoded from that frame as every receiver decodes
+  /// it, and returns its hash. The digest computed here is then the one
+  /// all receivers of the shared frame find in the cross-replica memo
+  /// (see Block::hash): the block is hashed once, not once locally and
+  /// once more over the frame.
+  Hash256 store_proposed(const Envelope& env);
+
   /// Common PersistentState fields (view + commit frontier); protocol
   /// subclasses add their own on top.
   PersistentState base_persistent_state(PersistedProtocol p) const;

@@ -6,7 +6,7 @@
 
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "common/sim_time.h"
 #include "types/block.h"
@@ -19,7 +19,7 @@ class TxPool {
   /// `at` is the enqueue time, kept only for pool-wait attribution.
   void add(types::Operation op, TimePoint at = TimePoint::origin()) {
     const std::uint64_t key = op_key(op);
-    if (pooled_.count(key) > 0) return;
+    if (pooled_.contains(key)) return;
     auto it = executed_.find(op.client);
     if (it != executed_.end() && op.request <= it->second) return;
     pooled_.insert(key);
@@ -76,6 +76,13 @@ class TxPool {
     return queue_.empty();
   }
 
+  /// Visits every pooled op, oldest first (committed ones not yet purged
+  /// included).
+  template <typename F>
+  void for_each(F&& visit) const {
+    for (const Entry& e : queue_) visit(e.op);
+  }
+
  private:
   struct Entry {
     types::Operation op;
@@ -97,8 +104,80 @@ class TxPool {
     return static_cast<std::uint64_t>(op.client) << 40 | op.request;
   }
 
+  /// Dedup keys of pooled ops in one open-addressing table (linear
+  /// probing, tombstones): each op inserts and erases one key, and a
+  /// node-based set would allocate for every one. The table allocates only
+  /// when it grows or sweeps its tombstones, and keeps its load at most
+  /// 3/4, so every probe ends at an empty slot.
+  class KeySet {
+   public:
+    bool contains(std::uint64_t key) const {
+      if (slots_.empty()) return false;
+      for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+        const Slot& s = slots_[i];
+        if (s.state == kEmpty) return false;
+        if (s.state == kFull && s.key == key) return true;
+      }
+    }
+
+    /// `key` must not be present.
+    void insert(std::uint64_t key) {
+      if ((used_ + 1) * 4 > slots_.size() * 3) rebuild();
+      std::size_t i = home(key);
+      while (slots_[i].state == kFull) i = (i + 1) & mask();
+      if (slots_[i].state == kEmpty) ++used_;
+      slots_[i] = Slot{key, kFull};
+      ++live_;
+    }
+
+    void erase(std::uint64_t key) {
+      if (slots_.empty()) return;
+      for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+        Slot& s = slots_[i];
+        if (s.state == kEmpty) return;
+        if (s.state == kFull && s.key == key) {
+          s.state = kTombstone;
+          --live_;
+          return;
+        }
+      }
+    }
+
+   private:
+    enum State : std::uint8_t { kEmpty, kFull, kTombstone };
+    struct Slot {
+      std::uint64_t key = 0;
+      State state = kEmpty;
+    };
+
+    std::size_t mask() const { return slots_.size() - 1; }
+    std::size_t home(std::uint64_t key) const {
+      key ^= key >> 33;  // murmur3 finalizer: spreads sequential ids
+      key *= 0xff51afd7ed558ccdULL;
+      key ^= key >> 33;
+      return static_cast<std::size_t>(key) & mask();
+    }
+    /// Rehashes the live keys into a table at most half full, dropping
+    /// tombstones.
+    void rebuild() {
+      std::size_t capacity = 16;
+      while (live_ * 2 >= capacity) capacity *= 2;
+      std::vector<Slot> old(capacity);
+      old.swap(slots_);
+      used_ = 0;
+      live_ = 0;
+      for (const Slot& s : old) {
+        if (s.state == kFull) insert(s.key);
+      }
+    }
+
+    std::vector<Slot> slots_;  // size is 0 or a power of two
+    std::size_t used_ = 0;     // full slots plus tombstones
+    std::size_t live_ = 0;     // full slots
+  };
+
   std::deque<Entry> queue_;
-  std::unordered_set<std::uint64_t> pooled_;
+  KeySet pooled_;
   std::unordered_map<ClientId, RequestId> executed_;
   TimePoint last_batch_oldest_;
 };

@@ -43,12 +43,18 @@ ByzantineBox::WireEffect ByzantineBox::transform_wire(
       if (!msg.is_ok()) return pass();
       types::ProposalMsg m = std::move(msg).take();
       if (m.entries.size() != 1) return pass();  // leave shadow pairs alone
-      types::Block& b = m.entries[0].block;
+      // Tamper with a copy: copying drops the identity the decoded block
+      // took from the honest frame, so the tampered block can only ever
+      // hash as what it now is.
+      types::Block b = m.entries[0].block;
       if (b.ops.empty()) {
         b.ops.push_back(types::Operation{~0u, ~0ull, Bytes{0xeb}});
       } else {
-        b.ops[0].payload.push_back(0xeb);
+        Bytes payload(b.ops[0].payload.begin(), b.ops[0].payload.end());
+        payload.push_back(0xeb);
+        b.ops[0].payload = std::move(payload);
       }
+      m.entries[0].block = std::move(b);
       ++interventions_;
       return {types::make_envelope(types::MsgKind::kProposal, m), true};
     }

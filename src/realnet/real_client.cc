@@ -20,11 +20,11 @@ void RealClient::issue_next() {
     return;
   }
   const RequestId id = next_request_++;
-  const Bytes payload = rng_.next_bytes(config_.payload_size);
-  payloads_[id] = payload;
   Pending& p = pending_[id];
   p.first_sent = mono_now();
-  burst_.push_back(types::Operation{config_.id, id, payload});
+  p.payload = rng_.next_bytes(config_.payload_size);
+  p.replies.expect(config_.quorum.reply_quorum());
+  burst_.push_back(types::Operation{config_.id, id, p.payload});
   if (config_.trace) {
     config_.trace->record({.node = transport_.node_id(),
                            .type = obs::EventType::kClientSubmit,
@@ -43,7 +43,7 @@ void RealClient::arm_retransmit(RequestId id) {
     auto pit = pending_.find(id);
     if (pit == pending_.end()) return;
     ++retransmissions_;
-    burst_.push_back(types::Operation{config_.id, id, payloads_[id]});
+    burst_.push_back(types::Operation{config_.id, id, pit->second.payload});
     flush_burst();
     arm_retransmit(id);
   });
@@ -55,8 +55,8 @@ void RealClient::flush_burst() {
   msg.ops = std::move(burst_);
   burst_.clear();
   // Serialize once; every replica's egress queue shares the same buffer.
-  const Payload wire(
-      types::make_envelope(types::MsgKind::kClientRequest, msg).serialize());
+  const Payload wire =
+      types::make_envelope(types::MsgKind::kClientRequest, msg).wire();
   for (ReplicaId r = 0; r < config_.quorum.n; ++r) {
     transport_.send(r, wire);
   }
@@ -64,7 +64,7 @@ void RealClient::flush_burst() {
 
 void RealClient::on_message(std::uint32_t from, Payload payload) {
   (void)from;
-  auto env = types::Envelope::parse(payload.view());
+  auto env = types::Envelope::parse(payload);
   if (!env.is_ok() || env.value().kind != types::MsgKind::kClientReply) return;
   auto reply = types::open_envelope<types::ClientReplyMsg>(env.value());
   if (!reply.is_ok()) return;
@@ -74,12 +74,14 @@ void RealClient::on_message(std::uint32_t from, Payload payload) {
   for (RequestId id : m.requests) {
     auto it = pending_.find(id);
     if (it == pending_.end()) continue;
-    auto& acks = it->second.acks_by_result[m.result];
-    acks.insert(m.replica);
-    if (acks.size() < config_.quorum.reply_quorum()) continue;
+    if (it->second.replies.add(m.replica, m.result) <
+        config_.quorum.reply_quorum()) {
+      continue;
+    }
 
     latency_.record(mono_now() - it->second.first_sent);
     completed_.record(mono_now());
+    ++completed_total_;
     if (config_.trace) {
       std::uint64_t block_id = 0;
       const std::size_t n = std::min<std::size_t>(m.result.size(), 8);
@@ -96,7 +98,6 @@ void RealClient::on_message(std::uint32_t from, Payload payload) {
     }
     it->second.retransmit.cancel();
     pending_.erase(it);
-    payloads_.erase(id);
     issue_next();
   }
   flush_burst();

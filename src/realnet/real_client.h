@@ -4,8 +4,8 @@
 // sends in place of simulator events. Runs on its node's EventLoop thread.
 #pragma once
 
+#include <atomic>
 #include <map>
-#include <set>
 
 #include "common/histogram.h"
 #include "common/ids.h"
@@ -47,7 +47,13 @@ class RealClient {
   /// clients keep accepting replies while replicas drain). Loop thread.
   void quiesce();
 
+  /// Loop-thread state: read it only while the cluster is stopped.
   WindowedCounter& completed() { return completed_; }
+  /// Requests completed so far; safe to read from any thread while the
+  /// loop runs.
+  std::uint64_t completed_total() const {
+    return completed_total_.load();
+  }
   LatencyHistogram& latency() { return latency_; }
   std::uint64_t issued() const { return next_request_ - 1; }
   std::uint64_t in_flight() const { return pending_.size(); }
@@ -56,7 +62,8 @@ class RealClient {
  private:
   struct Pending {
     TimePoint first_sent;
-    std::map<Bytes, std::set<ReplicaId>> acks_by_result;
+    PayloadSlice payload;  // kept for retransmission
+    types::ReplyTally replies;
     TimerHandle retransmit;
   };
 
@@ -69,9 +76,9 @@ class RealClient {
   RealClientConfig config_;
   RequestId next_request_ = 1;
   std::map<RequestId, Pending> pending_;
-  std::map<RequestId, Bytes> payloads_;  // for retransmission
   std::vector<types::Operation> burst_;  // requests awaiting one flush
   WindowedCounter completed_;
+  std::atomic<std::uint64_t> completed_total_{0};  // mirrors completed_
   LatencyHistogram latency_;
   std::uint64_t retransmissions_ = 0;
   bool quiesced_ = false;

@@ -334,7 +334,7 @@ double RealCluster::mean_latency_ms() const {
 std::uint64_t RealCluster::total_completed() const {
   std::uint64_t total = 0;
   for (const auto& node : nodes_) {
-    if (node.client) total += node.client->completed().total();
+    if (node.client) total += node.client->completed_total();
   }
   return total;
 }

@@ -97,6 +97,8 @@ class RealCluster {
   double client_throughput() const;
   double latency_ms(double percentile) const;
   double mean_latency_ms() const;
+  /// Requests completed by all clients — safe while running (progress
+  /// polls).
   std::uint64_t total_completed() const;
   bool any_safety_violation() const;
   bool committed_heights_consistent() const;

@@ -93,7 +93,7 @@ void RealReplica::start() {
 }
 
 void RealReplica::on_message(std::uint32_t from, Payload payload) {
-  auto env = Envelope::parse(payload.view());
+  auto env = Envelope::parse(payload);
   if (!env.is_ok()) return;
   if (env.value().kind == MsgKind::kSnapshotResponse) {
     metrics_.counter("state_transfer.bytes") += payload.size();
@@ -113,9 +113,8 @@ void RealReplica::send(ReplicaId to, const Envelope& env) {
   send_wire(to, env);
 }
 
-void RealReplica::send_wire(ReplicaId to, const Envelope& env,
-                            const Payload* pre) {
-  Payload wire = pre != nullptr ? *pre : Payload(env.serialize());
+void RealReplica::send_wire(ReplicaId to, const Envelope& env) {
+  Payload wire = env.wire();
   trace({.type = obs::EventType::kMsgSent,
          .kind = static_cast<std::uint8_t>(env.kind),
          .view = protocol_ ? protocol_->current_view() : 0,
@@ -124,11 +123,10 @@ void RealReplica::send_wire(ReplicaId to, const Envelope& env,
 }
 
 void RealReplica::broadcast(const Envelope& env) {
-  // Serialize once; all n destinations (including the loopback self-send)
-  // share the refcounted buffer — same zero-copy shape as the simulator.
-  const Payload shared(env.serialize());
+  // All n destinations (including the loopback self-send) share the
+  // envelope's refcounted frame — same zero-copy shape as the simulator.
   const std::uint32_t n = config_.replica.quorum.n;
-  for (ReplicaId r = 0; r < n; ++r) send_wire(r, env, &shared);
+  for (ReplicaId r = 0; r < n; ++r) send_wire(r, env);
 }
 
 void RealReplica::deliver(const types::Block& block,
@@ -158,21 +156,21 @@ void RealReplica::deliver(const types::Block& block,
     by_client[op.client].push_back(op.request);
   }
   const types::Hash256 block_hash = block.hash();
+  const PayloadSlice result(
+      Bytes(block_hash.data.begin(), block_hash.data.begin() + 8));
   for (auto& [client, requests] : by_client) {
     types::ClientReplyMsg reply;
     reply.client = client;
     reply.replica = config_.replica.id;
     reply.view = block.view;
     reply.height = block.height;
-    reply.result.assign(block_hash.data.begin(), block_hash.data.begin() + 8);
+    reply.result = result;
     const std::size_t body_overhead = 45 + 8 * requests.size();
     const std::size_t target = config_.reply_size * requests.size();
-    if (target > body_overhead) {
-      reply.padding.assign(target - body_overhead, 0xcd);
-    }
+    if (target > body_overhead) reply.padding = target - body_overhead;
     reply.requests = std::move(requests);
-    Payload wire(
-        types::make_envelope(MsgKind::kClientReply, reply).serialize());
+    Payload wire =
+        types::make_envelope(MsgKind::kClientReply, reply).wire();
     trace({.type = obs::EventType::kMsgSent,
            .kind = static_cast<std::uint8_t>(MsgKind::kClientReply),
            .view = block.view,

@@ -120,8 +120,7 @@ class RealReplica final : public consensus::ProtocolEnv {
  private:
   void make_protocol();
   void arm_view_timer();
-  void send_wire(ReplicaId to, const types::Envelope& env,
-                 const Payload* pre = nullptr);
+  void send_wire(ReplicaId to, const types::Envelope& env);
   void trace(obs::TraceEvent e) {
     if (config_.trace) {
       e.node = config_.replica.id;

@@ -28,11 +28,11 @@ void ClientProcess::issue_next() {
     return;
   }
   const RequestId id = next_request_++;
-  const Bytes payload = payload_for(id);
-  payloads_[id] = payload;
   Pending& p = pending_[id];
   p.first_sent = sim_.now();
-  burst_.push_back(types::Operation{config_.id, id, payload});
+  p.payload = payload_for(id);
+  p.replies.expect(config_.quorum.reply_quorum());
+  burst_.push_back(types::Operation{config_.id, id, p.payload});
   if (config_.trace) {
     // First issue only; retransmissions reuse the original submit time.
     config_.trace->record({.node = node_id_,
@@ -52,7 +52,8 @@ void ClientProcess::arm_retransmit(RequestId id) {
         auto pit = pending_.find(id);
         if (pit == pending_.end()) return;
         ++retransmissions_;
-        burst_.push_back(types::Operation{config_.id, id, payloads_[id]});
+        burst_.push_back(
+            types::Operation{config_.id, id, pit->second.payload});
         flush_burst();
         arm_retransmit(id);
       });
@@ -66,8 +67,8 @@ void ClientProcess::flush_burst() {
   msg.ops = std::move(burst_);
   burst_.clear();
   // Serialize once; every replica's in-flight copy shares the same buffer.
-  const Payload wire(
-      types::make_envelope(types::MsgKind::kClientRequest, msg).serialize());
+  const Payload wire =
+      types::make_envelope(types::MsgKind::kClientRequest, msg).wire();
   for (ReplicaId r = 0; r < config_.quorum.n; ++r) {
     net_.send(node_id_, r, wire);
   }
@@ -75,7 +76,7 @@ void ClientProcess::flush_burst() {
 
 void ClientProcess::on_message(sim::NodeId from, Payload payload) {
   (void)from;
-  auto env = types::Envelope::parse(payload.view());
+  auto env = types::Envelope::parse(payload);
   if (!env.is_ok() || env.value().kind != types::MsgKind::kClientReply) return;
   auto reply = types::open_envelope<types::ClientReplyMsg>(env.value());
   if (!reply.is_ok()) return;
@@ -85,9 +86,10 @@ void ClientProcess::on_message(sim::NodeId from, Payload payload) {
   for (RequestId id : m.requests) {
     auto it = pending_.find(id);
     if (it == pending_.end()) continue;
-    auto& acks = it->second.acks_by_result[m.result];
-    acks.insert(m.replica);
-    if (acks.size() < config_.quorum.reply_quorum()) continue;
+    if (it->second.replies.add(m.replica, m.result) <
+        config_.quorum.reply_quorum()) {
+      continue;
+    }
 
     latency_.record(sim_.now() - it->second.first_sent);
     completed_.record(sim_.now());
@@ -109,7 +111,6 @@ void ClientProcess::on_message(sim::NodeId from, Payload payload) {
     }
     it->second.retransmit.cancel();
     pending_.erase(it);
-    payloads_.erase(id);
     issue_next();
   }
   flush_burst();

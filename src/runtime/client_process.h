@@ -5,7 +5,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "common/histogram.h"
 #include "common/ids.h"
@@ -53,7 +52,8 @@ class ClientProcess final : public sim::NetworkNode {
  private:
   struct Pending {
     TimePoint first_sent;
-    std::map<Bytes, std::set<ReplicaId>> acks_by_result;
+    PayloadSlice payload;  // kept for retransmission
+    types::ReplyTally replies;
     sim::TimerHandle retransmit;
   };
 
@@ -68,7 +68,6 @@ class ClientProcess final : public sim::NetworkNode {
   sim::NodeId node_id_ = 0;
   RequestId next_request_ = 1;
   std::map<RequestId, Pending> pending_;
-  std::map<RequestId, Bytes> payloads_;  // for retransmission
   std::vector<types::Operation> burst_;  // requests awaiting one flush
   WindowedCounter completed_;
   LatencyHistogram latency_;

@@ -166,7 +166,7 @@ void ReplicaProcess::on_message(sim::NodeId from, Payload payload) {
   run_protocol_task([this, from, payload = std::move(payload)] {
     pending_charge_ +=
         config_.crypto_costs.serialize_cost(payload.size());
-    auto env = Envelope::parse(payload.view());
+    auto env = Envelope::parse(payload);
     if (!env.is_ok()) return;
     if (env.value().kind == MsgKind::kSnapshotResponse) {
       metrics_.counter("state_transfer.bytes") += payload.size();
@@ -243,9 +243,8 @@ void ReplicaProcess::send(ReplicaId to, const Envelope& env) {
   send_wire(to, env);
 }
 
-void ReplicaProcess::send_wire(ReplicaId to, const Envelope& env,
-                               const Payload* pre) {
-  Payload wire = pre != nullptr ? *pre : Payload(env.serialize());
+void ReplicaProcess::send_wire(ReplicaId to, const Envelope& env) {
+  Payload wire = env.wire();
   pending_charge_ += config_.crypto_costs.serialize_cost(wire.size());
   std::uint32_t authenticators = 0;
   if (count_authenticators_) {
@@ -269,13 +268,13 @@ void ReplicaProcess::send_wire(ReplicaId to, const Envelope& env,
 
 void ReplicaProcess::broadcast(const Envelope& env) {
   const std::uint32_t n = config_.replica.quorum.n;
-  // Serialize once and let every destination share the refcounted buffer.
-  // Simulated cost is untouched: send_wire still charges serialize_cost and
-  // records kMsgSent per destination, so golden traces replay bit-identical.
-  // A Byzantine box gets first refusal per destination; only destinations
-  // whose frame it actually tampers with pay for a private serialization
-  // (copy-on-write), the rest keep sharing.
-  Payload shared;
+  // The envelope was serialized once into its frame; every destination
+  // shares that refcounted buffer. Simulated cost is untouched: send_wire
+  // still charges serialize_cost and records kMsgSent per destination, so
+  // golden traces replay bit-identical. A Byzantine box gets first refusal
+  // per destination; only destinations whose frame it actually tampers
+  // with get a private serialization (copy-on-write), the rest keep
+  // sharing.
   for (ReplicaId r = 0; r < n; ++r) {
     if (byzantine_.active()) {
       auto fx = byzantine_.transform_wire(env, config_.replica.id, r);
@@ -285,8 +284,7 @@ void ReplicaProcess::broadcast(const Envelope& env) {
         continue;
       }
     }
-    if (!shared.has_value()) shared = Payload(env.serialize());
-    send_wire(r, env, &shared);
+    send_wire(r, env);
   }
 }
 
@@ -332,21 +330,21 @@ void ReplicaProcess::deliver(const types::Block& block,
     by_client[op.client].push_back(op.request);
   }
   const types::Hash256 block_hash = block.hash();
+  const PayloadSlice result(
+      Bytes(block_hash.data.begin(), block_hash.data.begin() + 8));
   for (auto& [client, requests] : by_client) {
     types::ClientReplyMsg reply;
     reply.client = client;
     reply.replica = config_.replica.id;
     reply.view = block.view;
     reply.height = block.height;
-    reply.result.assign(block_hash.data.begin(), block_hash.data.begin() + 8);
+    reply.result = result;
     const std::size_t body_overhead = 45 + 8 * requests.size();
     const std::size_t target = config_.reply_size * requests.size();
-    if (target > body_overhead) {
-      reply.padding.assign(target - body_overhead, 0xcd);
-    }
+    if (target > body_overhead) reply.padding = target - body_overhead;
     reply.requests = std::move(requests);
-    Payload wire(
-        types::make_envelope(MsgKind::kClientReply, reply).serialize());
+    Payload wire =
+        types::make_envelope(MsgKind::kClientReply, reply).wire();
     pending_charge_ += config_.crypto_costs.serialize_cost(wire.size());
     trace({.type = obs::EventType::kMsgSent,
            .kind = static_cast<std::uint8_t>(MsgKind::kClientReply),

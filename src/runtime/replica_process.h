@@ -147,12 +147,10 @@ class ReplicaProcess final : public sim::NetworkNode,
  private:
   void make_protocol();
   void run_protocol_task(std::function<void()> body);
-  /// Stages (or sends) one frame. When `pre` is set it must hold env's
-  /// serialization — broadcast passes the shared buffer so n destinations
-  /// reuse one serialization; the modeled serialize charge and kMsgSent
-  /// trace stay per-destination either way.
-  void send_wire(ReplicaId to, const types::Envelope& env,
-                 const Payload* pre = nullptr);
+  /// Stages (or sends) one frame: env's own refcounted buffer, so a
+  /// broadcast's n destinations share one serialization; the modeled
+  /// serialize charge and kMsgSent trace stay per-destination.
+  void send_wire(ReplicaId to, const types::Envelope& env);
   void flush_outbox(TimePoint at);
   void arm_view_timer();
   std::uint32_t count_authenticators(const types::Envelope& env) const;

@@ -1,40 +1,80 @@
 #include "types/block.h"
 
-#include <cstring>
+#include <deque>
+#include <functional>
 #include <unordered_map>
 
 namespace marlin::types {
 
 namespace {
 
+// SHA-256 over the block domain tag (as Writer::str encodes it) followed by
+// a block encoding.
+Hash256 block_digest(BytesView encoding) {
+  static const Bytes kTag = [] {
+    Writer w;
+    w.str("marlin.block");
+    return std::move(w).take();
+  }();
+  crypto::Sha256 h;
+  h.update(kTag);
+  h.update(encoding);
+  return h.finish();
+}
+
 // Cross-instance digest memo: every replica of a simulated cluster decodes
-// its own Block from the same proposal bytes, so the same encoding is
-// hashed up to n times. Key the digest by the full encoding — first caller
-// pays the SHA-256, the rest pay a hash-map probe. thread_local so parallel
-// simulations (chaos sweeps with --jobs) never contend or mix.
-struct EncodingHasher {
-  std::size_t operator()(const Bytes& b) const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    std::size_t i = 0;
-    for (; i + 8 <= b.size(); i += 8) {
-      std::uint64_t v;
-      std::memcpy(&v, b.data() + i, 8);
-      h = (h ^ v) * 0x100000001b3ULL;
-      h ^= h >> 29;
+// its own Block from the same shared proposal frame, so the same bytes
+// would be hashed up to n times. Entries are keyed by where the bytes sit
+// (buffer address and length), so a hit is one probe whatever the block
+// size. Each entry pins the buffer it names, so the address cannot be
+// reused for other bytes while the entry lives. The memo is bounded by
+// the bytes those pins keep alive, oldest entries evicted first — an
+// entry-count bound would let a long run with fat batches pin thousands of
+// whole proposal frames. thread_local so parallel simulations (chaos
+// sweeps with --jobs) never contend or mix.
+class SharedDigestMemo {
+ public:
+  static constexpr std::size_t kPinnedBudget = 4u << 20;
+
+  Hash256 digest(const PayloadSlice& encoding) {
+    const Key key{encoding.data(), encoding.size()};
+    if (auto it = digests_.find(key); it != digests_.end()) return it->second;
+    const Hash256 d = block_digest(encoding.view());
+    const std::size_t pinned = encoding.pinned_bytes();
+    if (pinned > kPinnedBudget) return d;
+    digests_.emplace(key, d);
+    pins_.push_back(encoding);
+    pinned_ += pinned;
+    while (pinned_ > kPinnedBudget) {
+      const PayloadSlice& oldest = pins_.front();
+      digests_.erase(Key{oldest.data(), oldest.size()});
+      pinned_ -= oldest.pinned_bytes();
+      pins_.pop_front();
     }
-    for (; i < b.size(); ++i) h = (h ^ b[i]) * 0x100000001b3ULL;
-    return h;
+    return d;
   }
+
+ private:
+  struct Key {
+    const std::uint8_t* data;
+    std::size_t size;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHasher {
+    std::size_t operator()(const Key& k) const {
+      return std::hash<const void*>{}(k.data) ^
+             (k.size * 0x9e3779b97f4a7c15ULL);
+    }
+  };
+
+  std::unordered_map<Key, Hash256, KeyHasher> digests_;
+  std::deque<PayloadSlice> pins_;  // insertion order, for eviction
+  std::size_t pinned_ = 0;
 };
 
-Hash256 memoized_digest(Bytes encoding) {
-  thread_local std::unordered_map<Bytes, Hash256, EncodingHasher> memo;
-  auto it = memo.find(encoding);
-  if (it != memo.end()) return it->second;
-  const Hash256 d = crypto::Sha256::digest(encoding);
-  if (memo.size() >= 4096) memo.clear();  // bound memory on long runs
-  memo.emplace(std::move(encoding), d);
-  return d;
+Hash256 shared_digest(const PayloadSlice& encoding) {
+  thread_local SharedDigestMemo memo;
+  return memo.digest(encoding);
 }
 
 }  // namespace
@@ -60,13 +100,23 @@ std::size_t ops_wire_size(const std::vector<Operation>& ops) {
 }
 
 Hash256 Block::hash() const {
-  if (!hash_memo_.value) {
-    Writer w(128 + ops_wire_size(ops));
-    w.str("marlin.block");
-    encode(w);
-    hash_memo_.value = memoized_digest(std::move(w).take());
+  if (!identity_.hash) {
+    if (!identity_.encoding.empty()) {
+      identity_.hash = shared_digest(identity_.encoding);
+    } else {
+      Writer w(128 + ops_wire_size(ops));
+      encode(w);
+      identity_.hash = block_digest(w.buffer());
+    }
   }
-  return *hash_memo_.value;
+  return *identity_.hash;
+}
+
+void Block::release_ops() {
+  (void)hash();  // pin the identity before the content goes
+  ops.clear();
+  ops.shrink_to_fit();
+  identity_.encoding = PayloadSlice();
 }
 
 void Block::encode(Writer& w) const {
@@ -81,10 +131,9 @@ void Block::encode(Writer& w) const {
 }
 
 Result<Block> Block::decode(Reader& r) {
+  const std::size_t start = r.position();
   Block b;
-  Bytes hash;
-  if (Status s = r.raw(crypto::kHashSize, hash); !s.is_ok()) return s;
-  b.parent_link = Hash256::from_bytes(hash);
+  if (Status s = decode_hash(r, b.parent_link); !s.is_ok()) return s;
   if (Status s = r.u64(b.parent_view); !s.is_ok()) return s;
   if (Status s = r.u64(b.view); !s.is_ok()) return s;
   if (Status s = r.u64(b.height); !s.is_ok()) return s;
@@ -103,6 +152,7 @@ Result<Block> Block::decode(Reader& r) {
   Result<Justify> j = Justify::decode(r);
   if (!j.is_ok()) return j.status();
   b.justify = std::move(j).take();
+  b.identity_.encoding = r.backed_since(start);
   return b;
 }
 

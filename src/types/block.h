@@ -22,10 +22,11 @@ namespace marlin::types {
 using crypto::Hash256;
 
 /// One client operation (opaque payload plus routing metadata for replies).
+/// A decoded op's payload aliases the frame it arrived in.
 struct Operation {
   ClientId client = 0;
   RequestId request = 0;
-  Bytes payload;
+  PayloadSlice payload;
 
   void encode(Writer& w) const;
   static Result<Operation> decode(Reader& r);
@@ -42,19 +43,34 @@ struct Block {
   Justify justify;  // QC(s) for the parent block (see quorum_cert.h)
 
   /// Deterministic content hash — the identity used by parent links, votes
-  /// and QCs. Includes every field (the paper's shadow blocks share ops but
-  /// differ in metadata, so they hash differently, as required).
+  /// and QCs: SHA-256 over "marlin.block" and the block's encoding.
+  /// Includes every field (the paper's shadow blocks share ops but differ
+  /// in metadata, so they hash differently, as required).
   ///
   /// Memoized: every code path builds (or decodes) a block and only then
-  /// hashes it, so the first call pins the identity. The one post-hash
-  /// mutation in the tree — BlockStore::release_ops dropping committed op
-  /// payloads — must NOT change identity, which the memo guarantees.
+  /// hashes it, so the first call pins the identity. A block decoded from
+  /// a Payload-backed Reader hashes the bytes it was decoded from in
+  /// place (the decoders are canonical: those bytes are exactly what
+  /// encode() writes), and blocks decoded from one shared frame share one
+  /// digest computation across replicas.
   Hash256 hash() const;
+
+  /// Drops the op payloads of an executed block (and with them the pinned
+  /// frame they alias) while keeping its identity: hash() still returns
+  /// the original digest. The block no longer matches that digest, so it
+  /// must never be served again (see BlockStore::release_ops).
+  void release_ops();
 
   bool is_genesis() const { return view == 0 && height == 0; }
 
   void encode(Writer& w) const;
+  /// Records the decoded bytes for in-place hashing when `r` is backed by
+  /// a Payload.
   static Result<Block> decode(Reader& r);
+  /// Forgets the decoded bytes: for a block whose fields no longer match
+  /// them (a shadow block rebuilt from its twin's ops). hash() then
+  /// re-encodes.
+  void forget_encoding() { identity_.encoding = PayloadSlice(); }
   bool operator==(const Block& o) const {
     return parent_link == o.parent_link && parent_view == o.parent_view &&
            view == o.view && height == o.height &&
@@ -66,21 +82,23 @@ struct Block {
   static Block genesis();
 
  private:
-  // The memo must not survive a copy: `Block b = a; b.view = 3;` is a legal
-  // way to derive a new block, and a copied memo would pin the old identity.
-  // Moves keep it — a moved block is the same block.
-  struct HashMemo {
-    mutable std::optional<Hash256> value;
-    HashMemo() = default;
-    HashMemo(const HashMemo&) {}
-    HashMemo& operator=(const HashMemo&) {
-      value.reset();
+  // Identity must not survive a copy: `Block b = a; b.view = 3;` is a legal
+  // way to derive a new block, and a copied memo or decoded encoding would
+  // pin the old identity. Moves keep it — a moved block is the same block.
+  struct Identity {
+    mutable std::optional<Hash256> hash;
+    PayloadSlice encoding;  // bytes this block was decoded from, if any
+    Identity() = default;
+    Identity(const Identity&) {}
+    Identity& operator=(const Identity&) {
+      hash.reset();
+      encoding = PayloadSlice();
       return *this;
     }
-    HashMemo(HashMemo&&) = default;
-    HashMemo& operator=(HashMemo&&) = default;
+    Identity(Identity&&) = default;
+    Identity& operator=(Identity&&) = default;
   };
-  HashMemo hash_memo_;
+  Identity identity_;
 };
 
 /// Total payload bytes across ops (bandwidth accounting).

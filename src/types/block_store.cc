@@ -5,9 +5,11 @@
 namespace marlin::types {
 
 BlockStore::BlockStore() {
-  Block genesis = Block::genesis();
-  genesis_hash_ = genesis.hash();
-  blocks_.emplace(genesis_hash_, std::move(genesis));
+  // Every store starts from the same genesis block: hash it once per
+  // process, not once per replica.
+  static const Hash256 kGenesisHash = Block::genesis().hash();
+  genesis_hash_ = kGenesisHash;
+  blocks_.emplace(genesis_hash_, Block::genesis());
 }
 
 void BlockStore::insert(Block block) {
@@ -84,8 +86,7 @@ std::vector<Hash256> BlockStore::chain(const Hash256& descendant,
 void BlockStore::release_ops(const Hash256& hash) {
   auto it = blocks_.find(hash);
   if (it != blocks_.end() && !it->second.ops.empty()) {
-    it->second.ops.clear();
-    it->second.ops.shrink_to_fit();
+    it->second.release_ops();
     released_.insert(hash);
   }
 }
@@ -110,9 +111,7 @@ void BlockRef::encode(Writer& w) const {
 
 Result<BlockRef> BlockRef::decode(Reader& r) {
   BlockRef ref;
-  Bytes h;
-  if (Status s = r.raw(crypto::kHashSize, h); !s.is_ok()) return s;
-  ref.hash = Hash256::from_bytes(h);
+  if (Status s = decode_hash(r, ref.hash); !s.is_ok()) return s;
   if (Status s = r.u64(ref.view); !s.is_ok()) return s;
   if (Status s = r.u64(ref.height); !s.is_ok()) return s;
   if (Status s = r.u64(ref.pview); !s.is_ok()) return s;

@@ -41,8 +41,8 @@ void ClientReplyMsg::encode(Writer& w) const {
   w.u64(height);
   w.varint(requests.size());
   for (RequestId id : requests) w.u64(id);
-  w.bytes(result);
-  w.bytes(padding);
+  w.bytes(result.view());
+  w.filled_bytes(padding, kPaddingByte);
 }
 
 Result<ClientReplyMsg> ClientReplyMsg::decode(Reader& r) {
@@ -63,7 +63,7 @@ Result<ClientReplyMsg> ClientReplyMsg::decode(Reader& r) {
     m.requests.push_back(id);
   }
   if (Status s = r.bytes(m.result); !s.is_ok()) return s;
-  if (Status s = r.bytes(m.padding); !s.is_ok()) return s;
+  if (Status s = r.skip_bytes(m.padding); !s.is_ok()) return s;
   return m;
 }
 
@@ -112,7 +112,18 @@ Result<ProposalMsg> ProposalMsg::decode(Reader& r) {
     if (!b.is_ok()) return b.status();
     ProposalEntry entry;
     entry.block = std::move(b).take();
-    if (shadow) entry.block.ops = m.entries[0].block.ops;
+    // Canonical form only (encode(decode(w)) == w): a shadow sends no ops
+    // of its own, and a batch equal to the first entry's is always sent
+    // as a shadow.
+    if (shadow) {
+      if (!entry.block.ops.empty()) {
+        return error(ErrorCode::kCorruption, "shadow entry carries ops");
+      }
+      entry.block.ops = m.entries[0].block.ops;
+      entry.block.forget_encoding();  // the wire bytes lack the shared ops
+    } else if (i > 0 && entry.block.ops == m.entries[0].block.ops) {
+      return error(ErrorCode::kCorruption, "shared batch not sent as shadow");
+    }
     Result<Justify> j = Justify::decode(r);
     if (!j.is_ok()) return j.status();
     entry.justify = std::move(j).take();
@@ -145,9 +156,7 @@ Result<VoteMsg> VoteMsg::decode(Reader& r) {
   }
   m.phase = static_cast<Phase>(phase);
   if (Status s = r.u64(m.view); !s.is_ok()) return s;
-  Bytes h;
-  if (Status s = r.raw(crypto::kHashSize, h); !s.is_ok()) return s;
-  m.block_hash = Hash256::from_bytes(h);
+  if (Status s = decode_hash(r, m.block_hash); !s.is_ok()) return s;
   Result<crypto::PartialSig> sig = crypto::PartialSig::decode(r);
   if (!sig.is_ok()) return sig.status();
   m.parsig = std::move(sig).take();
@@ -220,9 +229,7 @@ void FetchRequestMsg::encode(Writer& w) const {
 
 Result<FetchRequestMsg> FetchRequestMsg::decode(Reader& r) {
   FetchRequestMsg m;
-  Bytes h;
-  if (Status s = r.raw(crypto::kHashSize, h); !s.is_ok()) return s;
-  m.block_hash = Hash256::from_bytes(h);
+  if (Status s = decode_hash(r, m.block_hash); !s.is_ok()) return s;
   if (Status s = r.u64(m.since); !s.is_ok()) return s;
   return m;
 }
@@ -253,9 +260,7 @@ void SnapshotResponseMsg::encode(Writer& w) const {
 Result<SnapshotResponseMsg> SnapshotResponseMsg::decode(Reader& r) {
   SnapshotResponseMsg m;
   if (Status s = r.u64(m.height); !s.is_ok()) return s;
-  Bytes h;
-  if (Status s = r.raw(crypto::kHashSize, h); !s.is_ok()) return s;
-  m.head = Hash256::from_bytes(h);
+  if (Status s = decode_hash(r, m.head); !s.is_ok()) return s;
   std::uint64_t count = 0;
   if (Status s = r.varint(count); !s.is_ok()) return s;
   if (count > kSuffixLimit) {
@@ -278,25 +283,18 @@ Result<TimeoutNoticeMsg> TimeoutNoticeMsg::decode(Reader& r) {
   return m;
 }
 
-Bytes Envelope::serialize() const {
-  Bytes out;
-  out.reserve(1 + body.size());
-  out.push_back(static_cast<std::uint8_t>(kind));
-  append(out, body);
-  return out;
-}
-
-Result<Envelope> Envelope::parse(BytesView wire) {
+Result<Envelope> Envelope::parse(const Payload& wire) {
   if (wire.empty()) return error(ErrorCode::kCorruption, "empty envelope");
   const std::uint8_t kind = wire[0];
   if (kind < static_cast<std::uint8_t>(MsgKind::kClientRequest) ||
       kind > static_cast<std::uint8_t>(MsgKind::kTimeoutNotice)) {
     return error(ErrorCode::kCorruption, "bad message kind");
   }
-  Envelope env;
-  env.kind = static_cast<MsgKind>(kind);
-  env.body.assign(wire.begin() + 1, wire.end());
-  return env;
+  return Envelope{static_cast<MsgKind>(kind), wire};
+}
+
+Result<Envelope> Envelope::parse(BytesView wire) {
+  return parse(Payload(Bytes(wire.begin(), wire.end())));
 }
 
 }  // namespace marlin::types

@@ -5,6 +5,7 @@
 // once and the second block is flagged as a shadow (§IV-D, §V-C).
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -59,11 +60,53 @@ struct ClientReplyMsg {
   ViewNumber view = 0;
   Height height = 0;          // height of the committing block
   std::vector<RequestId> requests;
-  Bytes result;               // execution result digest (same on all correct)
-  Bytes padding;              // sizes the message as |requests| real replies
+  PayloadSlice result;        // execution result digest (same on all correct)
+  /// Filler length sizing the message as |requests| real replies. The
+  /// filler (kPaddingByte repeated) is written in place on encode and
+  /// stepped over on decode; it is never materialized.
+  std::size_t padding = 0;
+
+  static constexpr std::uint8_t kPaddingByte = 0xcd;
 
   void encode(Writer& w) const;
   static Result<ClientReplyMsg> decode(Reader& r);
+};
+
+/// A client's tally of the replies to one request: which replicas vouched
+/// for which result. Flat, because the quorum is small (f+1) and correct
+/// replicas agree on the result (one list almost always), so a scan beats
+/// a map of sets.
+class ReplyTally {
+ public:
+  /// Sizes each result's backer list for `replicas` entries; the list is
+  /// allocated on the first reply carrying that result, not here.
+  void expect(std::size_t replicas) { expected_ = replicas; }
+
+  /// Records `replica`'s reply carrying `result`; returns how many
+  /// distinct replicas now back that result.
+  std::size_t add(ReplicaId replica, const PayloadSlice& result) {
+    for (Backers& b : results_) {
+      if (b.result != result) continue;
+      if (std::find(b.replicas.begin(), b.replicas.end(), replica) ==
+          b.replicas.end()) {
+        b.replicas.push_back(replica);
+      }
+      return b.replicas.size();
+    }
+    Backers& b = results_.emplace_back();
+    b.result = result;
+    b.replicas.reserve(expected_);
+    b.replicas.push_back(replica);
+    return 1;
+  }
+
+ private:
+  struct Backers {
+    PayloadSlice result;
+    std::vector<ReplicaId> replicas;
+  };
+  std::vector<Backers> results_;
+  std::size_t expected_ = 0;
 };
 
 /// One proposed block plus the message-level justify (which, unlike the
@@ -180,12 +223,22 @@ struct TimeoutNoticeMsg {
   static Result<TimeoutNoticeMsg> decode(Reader& r);
 };
 
-/// Top-level frame: [u8 kind][body].
+/// Top-level frame: [u8 kind][body]. The frame is one refcounted Payload
+/// and the body a view into it: parsing a shared frame copies nothing,
+/// decoding aliases it, and sending hands the same buffer to the network.
 struct Envelope {
-  MsgKind kind;
-  Bytes body;
+  MsgKind kind = MsgKind::kClientRequest;
+  Payload frame;  // [kind][body]
 
-  Bytes serialize() const;
+  BytesView body() const {
+    return frame.empty() ? BytesView{} : frame.view().subspan(1);
+  }
+  /// The wire bytes: the frame itself, shared.
+  const Payload& wire() const { return frame; }
+
+  /// Takes a reference on `wire`; copies nothing.
+  static Result<Envelope> parse(const Payload& wire);
+  /// Copies `wire` once into a Payload of its own.
   static Result<Envelope> parse(BytesView wire);
 };
 
@@ -193,13 +246,17 @@ struct Envelope {
 template <typename M>
 Envelope make_envelope(MsgKind kind, const M& msg) {
   Writer w;
+  w.u8(static_cast<std::uint8_t>(kind));
   msg.encode(w);
-  return Envelope{kind, std::move(w).take()};
+  return Envelope{kind, Payload(std::move(w).take())};
 }
 
+/// Decodes the body against the envelope's frame: byte strings in the
+/// message (op payloads, block encodings) alias the frame.
 template <typename M>
 Result<M> open_envelope(const Envelope& env) {
-  return decode_from_bytes<M>(env.body);
+  Reader r(env.frame, env.body());
+  return decode_all<M>(r);
 }
 
 }  // namespace marlin::types

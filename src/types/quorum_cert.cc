@@ -68,9 +68,7 @@ Result<QuorumCert> QuorumCert::decode(Reader& r) {
   }
   qc.type = static_cast<QcType>(type);
   if (Status s = r.u64(qc.view); !s.is_ok()) return s;
-  Bytes hash;
-  if (Status s = r.raw(crypto::kHashSize, hash); !s.is_ok()) return s;
-  qc.block_hash = Hash256::from_bytes(hash);
+  if (Status s = decode_hash(r, qc.block_hash); !s.is_ok()) return s;
   if (Status s = r.u64(qc.block_view); !s.is_ok()) return s;
   if (Status s = r.u64(qc.height); !s.is_ok()) return s;
   if (Status s = r.u64(qc.pview); !s.is_ok()) return s;

@@ -69,6 +69,11 @@ struct QuorumCert {
   std::string to_string() const;
 };
 
+/// Reads a raw 32-byte hash field straight into `out`.
+inline Status decode_hash(Reader& r, Hash256& out) {
+  return r.raw(crypto::kHashSize, out.data.data());
+}
+
 /// Builds the digest a voter signs for (type, view, block metadata) — used
 /// both when casting votes and when verifying QCs.
 Hash256 vote_digest(std::string_view domain, QcType type, ViewNumber view,

@@ -3,6 +3,9 @@
 // signer suites, and quorum-certificate aggregation.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string_view>
+
 #include "common/rng.h"
 #include "crypto/aggregate.h"
 #include "crypto/bigint.h"
@@ -22,6 +25,13 @@ struct ShaVector {
   const char* message;
   const char* digest;
 };
+
+// Prints the vector by message length so test names stay the same from run
+// to run; gtest's default byte dump would print the two pointers, which move
+// with address-space randomisation.
+void PrintTo(const ShaVector& v, std::ostream* os) {
+  *os << "len_" << std::string_view(v.message).size();
+}
 
 class Sha256KnownAnswer : public ::testing::TestWithParam<ShaVector> {};
 

@@ -873,6 +873,35 @@ TEST(TxPool, BatchRespectsCap) {
   EXPECT_EQ(pool.pending(), 6u);
 }
 
+TEST(TxPool, DedupHoldsUnderChurnAndExtremeIds) {
+  // The dedup table grows, sweeps tombstones and shrinks across many
+  // add/drain rounds; membership must stay exact throughout, for any
+  // (client, request) a peer can put on the wire.
+  TxPool pool;
+  const ClientId kMaxClient = ~ClientId{0};
+  const RequestId kMaxRequest = ~RequestId{0};
+  pool.add(op_of(kMaxClient, kMaxRequest));
+  pool.add(op_of(kMaxClient, kMaxRequest));
+  pool.add(op_of(0, 0));
+  pool.add(op_of(0, 0));
+  EXPECT_EQ(pool.pending(), 2u);
+  EXPECT_EQ(pool.next_batch(10).size(), 2u);
+  RequestId next = 1;
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t burst = 1 + static_cast<std::size_t>(round % 97);
+    for (std::size_t i = 0; i < burst; ++i) {
+      pool.add(op_of(static_cast<ClientId>(i % 7), next + i));
+      pool.add(op_of(static_cast<ClientId>(i % 7), next + i));  // duplicate
+    }
+    ASSERT_EQ(pool.pending(), burst) << "round " << round;
+    ASSERT_EQ(pool.next_batch(burst).size(), burst) << "round " << round;
+    next += burst;
+  }
+  // A drained op is no longer pooled: it can be pooled again.
+  pool.add(op_of(kMaxClient, kMaxRequest));
+  EXPECT_EQ(pool.pending(), 1u);
+}
+
 TEST(VoteCollector, EmitsExactlyOnceAtThreshold) {
   VoteCollector vc(3);
   const Hash256 h = crypto::Sha256::digest(to_bytes("b"));

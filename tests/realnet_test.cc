@@ -518,8 +518,8 @@ TEST(RealCluster, CommitsClientOpsOverTcp) {
   ASSERT_TRUE(cluster.ok().is_ok()) << cluster.ok().message();
   cluster.start();
   ASSERT_TRUE(eventually(Duration::seconds(20), [&] {
-    return cluster.client(0).completed().total() > 50 &&
-           cluster.client(1).completed().total() > 50;
+    return cluster.client(0).completed_total() > 50 &&
+           cluster.client(1).completed_total() > 50;
   }));
   cluster.stop();
 

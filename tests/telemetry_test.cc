@@ -337,7 +337,7 @@ TEST(RealClusterTelemetry, EveryReplicaAnswersAllEndpoints) {
   cluster.start();
 
   ASSERT_TRUE(eventually(Duration::seconds(20), [&] {
-    return cluster.client(0).completed().total() > 20;
+    return cluster.client(0).completed_total() > 20;
   }));
 
   for (ReplicaId i = 0; i < cluster.n(); ++i) {

@@ -179,7 +179,7 @@ TEST(ThresholdWireSize, QcsShrinkAtScale) {
     h.set_drop([&](const BusMessage& m) {
       if (auto n = peek<types::QcNoticeMsg>(m, types::MsgKind::kQcNotice)) {
         if (n->phase == types::Phase::kCommit && commit_notice_bytes == 0) {
-          commit_notice_bytes = m.envelope.serialize().size();
+          commit_notice_bytes = m.envelope.wire().size();
         }
       }
       return false;

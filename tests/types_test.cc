@@ -4,6 +4,9 @@
 // message round-trip including the shadow-block proposal encoding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+
 #include "common/rng.h"
 #include "types/block_store.h"
 #include "types/messages.h"
@@ -61,7 +64,9 @@ TEST(Block, HashCoversEveryField) {
   changed.virtual_block = true;
   EXPECT_NE(base.hash(), changed.hash());
   changed = base;
-  changed.ops[0].payload[0] ^= 1;
+  Bytes payload(base.ops[0].payload.begin(), base.ops[0].payload.end());
+  payload[0] ^= 1;
+  changed.ops[0].payload = payload;
   EXPECT_NE(base.hash(), changed.hash());
   changed = base;
   changed.parent_view = 2;
@@ -410,7 +415,7 @@ TEST(Messages, ClientRequestRoundTrip) {
   ClientRequestMsg m;
   m.ops = {make_op(3, 9, 150), make_op(3, 10, 150)};
   auto env = make_envelope(MsgKind::kClientRequest, m);
-  auto parsed = Envelope::parse(env.serialize());
+  auto parsed = Envelope::parse(env.wire());
   ASSERT_TRUE(parsed.is_ok());
   EXPECT_EQ(parsed.value().kind, MsgKind::kClientRequest);
   auto back = open_envelope<ClientRequestMsg>(parsed.value());
@@ -426,11 +431,11 @@ TEST(Messages, ClientReplyRoundTrip) {
   m.height = 77;
   m.requests = {8, 9, 12};
   m.result = to_bytes("digest64");
-  m.padding = Bytes(100, 0xcd);
+  m.padding = 100;
   auto back = decode_from_bytes<ClientReplyMsg>(encode_to_bytes(m));
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value().requests, m.requests);
-  EXPECT_EQ(back.value().padding.size(), 100u);
+  EXPECT_EQ(back.value().padding, 100u);
 }
 
 TEST(Messages, ProposalSingleEntryRoundTrip) {
@@ -539,7 +544,7 @@ TEST(Messages, TimeoutNoticeRoundTrip) {
   EXPECT_EQ(back.value().view, m.view);
 
   Envelope env = make_envelope(MsgKind::kTimeoutNotice, m);
-  auto reparsed = Envelope::parse(env.serialize());
+  auto reparsed = Envelope::parse(env.wire());
   ASSERT_TRUE(reparsed.is_ok());
   auto opened = open_envelope<TimeoutNoticeMsg>(reparsed.value());
   ASSERT_TRUE(opened.is_ok());
@@ -547,9 +552,9 @@ TEST(Messages, TimeoutNoticeRoundTrip) {
 }
 
 TEST(Messages, EnvelopeRejectsGarbage) {
-  EXPECT_FALSE(Envelope::parse(Bytes{}).is_ok());
-  EXPECT_FALSE(Envelope::parse(Bytes{0x00}).is_ok());
-  EXPECT_FALSE(Envelope::parse(Bytes{0xff, 0x01}).is_ok());
+  EXPECT_FALSE(Envelope::parse(Payload(Bytes{})).is_ok());
+  EXPECT_FALSE(Envelope::parse(Payload(Bytes{0x00})).is_ok());
+  EXPECT_FALSE(Envelope::parse(Payload(Bytes{0xff, 0x01})).is_ok());
 }
 
 TEST(Messages, TrailingGarbageRejected) {
@@ -580,14 +585,15 @@ TEST_P(DecoderFuzz, MutatedEnvelopesNeverCrash) {
   {
     ClientRequestMsg req;
     req.ops = {make_op(1, 1, 150), make_op(2, 9, 10)};
-    corpus.push_back(make_envelope(MsgKind::kClientRequest, req).serialize());
+    corpus.push_back(
+        make_envelope(MsgKind::kClientRequest, req).wire().bytes());
 
     ClientReplyMsg rep;
     rep.client = 3;
     rep.requests = {1, 2, 3};
     rep.result = to_bytes("12345678");
-    rep.padding = Bytes(64, 0xcd);
-    corpus.push_back(make_envelope(MsgKind::kClientReply, rep).serialize());
+    rep.padding = 64;
+    corpus.push_back(make_envelope(MsgKind::kClientReply, rep).wire().bytes());
 
     ProposalMsg prop;
     prop.phase = Phase::kPrePrepare;
@@ -602,19 +608,19 @@ TEST_P(DecoderFuzz, MutatedEnvelopesNeverCrash) {
     e2.block.parent_link = Hash256{};
     e2.justify = e1.justify;
     prop.entries = {e1, e2};
-    corpus.push_back(make_envelope(MsgKind::kProposal, prop).serialize());
+    corpus.push_back(make_envelope(MsgKind::kProposal, prop).wire().bytes());
 
     VoteMsg vote;
     vote.phase = Phase::kPrepare;
     vote.view = 4;
     vote.parsig = {1, Bytes(crypto::kSignatureSize, 0x33)};
     vote.locked_qc = make_qc(QcType::kPrepare, 3, 2);
-    corpus.push_back(make_envelope(MsgKind::kVote, vote).serialize());
+    corpus.push_back(make_envelope(MsgKind::kVote, vote).wire().bytes());
 
     QcNoticeMsg notice;
     notice.qc = make_qc(QcType::kPrePrepare, 4, 5, {}, 4, 3, true);
     notice.aux = make_qc(QcType::kPrepare, 3, 4);
-    corpus.push_back(make_envelope(MsgKind::kQcNotice, notice).serialize());
+    corpus.push_back(make_envelope(MsgKind::kQcNotice, notice).wire().bytes());
 
     ViewChangeMsg vc;
     vc.view = 5;
@@ -622,11 +628,11 @@ TEST_P(DecoderFuzz, MutatedEnvelopesNeverCrash) {
                              false};
     vc.high_qc.qc = make_qc(QcType::kPrepare, 4, 6);
     vc.parsig = {2, Bytes(crypto::kSignatureSize, 0x44)};
-    corpus.push_back(make_envelope(MsgKind::kViewChange, vc).serialize());
+    corpus.push_back(make_envelope(MsgKind::kViewChange, vc).wire().bytes());
   }
 
   auto try_decode = [](const Bytes& wire) {
-    auto env = Envelope::parse(wire);
+    auto env = Envelope::parse(BytesView(wire));
     if (!env.is_ok()) return;
     switch (env.value().kind) {
       case MsgKind::kClientRequest:
@@ -688,6 +694,308 @@ TEST_P(DecoderFuzz, MutatedEnvelopesNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzz,
                          ::testing::Values(1000, 2000, 3000, 4000));
+
+}  // namespace
+}  // namespace marlin::types
+
+namespace marlin::types {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Zero-copy decode and in-place block hashing. A block decoded from a
+// Payload hashes the bytes it arrived in, so every encoding a decoder
+// accepts must be exactly the one encode() writes back — otherwise two
+// replicas could disagree on a block's identity.
+// ---------------------------------------------------------------------------
+
+/// Decodes `wire` unbacked and Payload-backed; when accepted, both must
+/// re-encode to `wire`. Returns whether the decoders accepted it.
+template <typename T>
+bool expect_canonical(const Bytes& wire) {
+  auto plain = decode_from_bytes<T>(wire);
+  const Payload frame{Bytes(wire)};
+  Reader r(frame, frame.view());
+  auto backed = decode_all<T>(r);
+  EXPECT_EQ(plain.is_ok(), backed.is_ok());
+  if (!plain.is_ok() || !backed.is_ok()) return false;
+  EXPECT_EQ(encode_to_bytes(plain.value()), wire);
+  EXPECT_EQ(encode_to_bytes(backed.value()), wire);
+  if constexpr (std::is_same_v<T, Block>) {
+    // In-place digest == digest of the re-encoded copy (a copy forgets
+    // the received bytes) == digest of the unbacked decode.
+    const Block copy = backed.value();
+    EXPECT_EQ(backed.value().hash(), copy.hash());
+    EXPECT_EQ(backed.value().hash(), plain.value().hash());
+  }
+  if constexpr (std::is_same_v<T, ProposalMsg>) {
+    for (const ProposalEntry& e : backed.value().entries) {
+      const Block copy = e.block;
+      EXPECT_EQ(e.block.hash(), copy.hash());
+    }
+  }
+  return true;
+}
+
+Bytes mutate(Rng& rng, Bytes wire) {
+  switch (rng.next_below(4)) {
+    case 0:  // flip a few bytes
+      for (int k = 0; k < 1 + static_cast<int>(rng.next_below(3)); ++k) {
+        wire[rng.next_below(wire.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.next_below(255));
+      }
+      break;
+    case 1:  // truncate
+      wire.resize(rng.next_below(wire.size()));
+      break;
+    case 2:  // extend
+      append(wire, rng.next_bytes(1 + rng.next_below(16)));
+      break;
+    default: {  // overwrite a short run with one value (0 / 1 / 0x80 hits
+                // length, flag and varint fields)
+      const std::uint8_t values[] = {0x00, 0x01, 0x02, 0x80, 0xff};
+      const std::size_t at = rng.next_below(wire.size());
+      const std::size_t len =
+          std::min<std::size_t>(1 + rng.next_below(4), wire.size() - at);
+      const std::uint8_t v = values[rng.next_below(5)];
+      for (std::size_t i = 0; i < len; ++i) wire[at + i] = v;
+      break;
+    }
+  }
+  return wire;
+}
+
+class CanonicalCodec : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CanonicalCodec, AcceptedEncodingsReencodeByteExact) {
+  Rng rng(GetParam());
+
+  QuorumCert group_qc = make_qc(QcType::kPrepare, 3, 2,
+                                crypto::Sha256::digest(to_bytes("q")), 3, 2);
+  group_qc.sigs.parts = {{1, Bytes(crypto::kSignatureSize, 0x21)},
+                         {4, Bytes(crypto::kSignatureSize, 0x22)}};
+  QuorumCert threshold_qc = make_qc(QcType::kPrePrepare, 4, 5, {}, 4, 3, true);
+  threshold_qc.threshold_sig = Bytes(crypto::kSignatureSize, 0x5a);
+
+  Block plain = make_block(4, 3, crypto::Sha256::digest(to_bytes("p")), 3,
+                           {make_op(1, 1, 40), make_op(2, 7, 3)});
+  plain.justify.qc = group_qc;
+  Block virt = make_block(4, 4, Hash256{}, 3, {make_op(1, 2, 5)});
+  virt.virtual_block = true;
+  virt.justify.qc = threshold_qc;
+  virt.justify.vc = group_qc;
+
+  ProposalMsg single;
+  single.phase = Phase::kPrepare;
+  single.view = 4;
+  single.entries = {ProposalEntry{plain, plain.justify}};
+  ProposalMsg shadow;
+  shadow.phase = Phase::kPrePrepare;
+  shadow.view = 4;
+  Block twin = plain;
+  twin.height = 5;
+  shadow.entries = {ProposalEntry{plain, plain.justify},
+                    ProposalEntry{twin, plain.justify}};
+  ProposalMsg pair = shadow;
+  pair.entries[1].block = virt;
+
+  const std::vector<Bytes> blocks = {encode_to_bytes(plain),
+                                     encode_to_bytes(virt),
+                                     encode_to_bytes(Block::genesis())};
+  const std::vector<Bytes> proposals = {encode_to_bytes(single),
+                                        encode_to_bytes(shadow),
+                                        encode_to_bytes(pair)};
+  const std::vector<Bytes> qcs = {encode_to_bytes(group_qc),
+                                  encode_to_bytes(threshold_qc)};
+  for (const Bytes& w : blocks) EXPECT_TRUE(expect_canonical<Block>(w));
+  for (const Bytes& w : proposals) {
+    EXPECT_TRUE(expect_canonical<ProposalMsg>(w));
+  }
+  for (const Bytes& w : qcs) EXPECT_TRUE(expect_canonical<QuorumCert>(w));
+
+  int accepted_mutants = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    accepted_mutants += expect_canonical<Block>(
+        mutate(rng, blocks[rng.next_below(blocks.size())]));
+    accepted_mutants += expect_canonical<ProposalMsg>(
+        mutate(rng, proposals[rng.next_below(proposals.size())]));
+    accepted_mutants += expect_canonical<QuorumCert>(
+        mutate(rng, qcs[rng.next_below(qcs.size())]));
+  }
+  // Byte flips inside integer and hash fields decode fine: the property
+  // was exercised on real mutants, not only on rejections.
+  EXPECT_GT(accepted_mutants, 300);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CanonicalCodec,
+                         ::testing::Values(11, 22, 33, 44));
+
+TEST(ZeroCopy, ProposalRejectsNonCanonicalShadowForms) {
+  const std::vector<Operation> ops = {make_op(1, 1, 20)};
+  const Block b1 = make_block(5, 4, crypto::Sha256::digest(to_bytes("p")), 3,
+                              ops);
+  Block b2 = b1;
+  b2.height = 5;
+  auto wire = [&](bool shadow_flag, const Block& second) {
+    Writer w;
+    w.u8(static_cast<std::uint8_t>(Phase::kPrePrepare));
+    w.u64(5);
+    w.varint(2);
+    w.boolean(false);
+    b1.encode(w);
+    Justify{}.encode(w);
+    w.boolean(shadow_flag);
+    second.encode(w);
+    Justify{}.encode(w);
+    return std::move(w).take();
+  };
+  Block stripped = b2;
+  stripped.ops.clear();
+  // The canonical form decodes...
+  EXPECT_TRUE(decode_from_bytes<ProposalMsg>(wire(true, stripped)).is_ok());
+  // ...but a shared batch sent twice, or a shadow carrying ops, does not.
+  EXPECT_FALSE(decode_from_bytes<ProposalMsg>(wire(false, b2)).is_ok());
+  EXPECT_FALSE(decode_from_bytes<ProposalMsg>(wire(true, b2)).is_ok());
+}
+
+TEST(ZeroCopy, DecodedOpsAndBlocksAliasTheFrame) {
+  ProposalMsg m;
+  m.phase = Phase::kPrePrepare;
+  m.view = 5;
+  ProposalEntry e1, e2;
+  e1.block = make_block(5, 4, crypto::Sha256::digest(to_bytes("p")), 3,
+                        {make_op(1, 1, 150), make_op(2, 2, 150)});
+  e2.block = e1.block;
+  e2.block.height = 5;
+  e2.block.virtual_block = true;
+  e2.block.parent_link = Hash256{};
+  m.entries = {e1, e2};
+  const Hash256 h1 = e1.block.hash();
+  const Hash256 h2 = e2.block.hash();
+
+  const Envelope env = make_envelope(MsgKind::kProposal, m);
+  auto parsed = Envelope::parse(env.wire());
+  ASSERT_TRUE(parsed.is_ok());
+  EXPECT_TRUE(parsed.value().frame.shares_buffer(env.wire()));  // no copy
+  auto back = open_envelope<ProposalMsg>(parsed.value());
+  ASSERT_TRUE(back.is_ok());
+  for (const ProposalEntry& e : back.value().entries) {
+    for (const Operation& op : e.block.ops) {
+      EXPECT_TRUE(op.payload.shares_buffer(env.wire()));
+    }
+  }
+  // The first block hashes its received bytes in place; the shadow block
+  // (rebuilt from its twin's ops) re-encodes. Both keep their identity.
+  EXPECT_EQ(back.value().entries[0].block.hash(), h1);
+  EXPECT_EQ(back.value().entries[1].block.hash(), h2);
+
+  // Parsing a plain view copies once into a frame of its own.
+  auto copied = Envelope::parse(env.wire().view());
+  ASSERT_TRUE(copied.is_ok());
+  EXPECT_FALSE(copied.value().frame.shares_buffer(env.wire()));
+  EXPECT_EQ(copied.value().frame.bytes(), env.wire().bytes());
+}
+
+TEST(ZeroCopy, DigestMemoFollowsBufferNotContentHistory) {
+  // Two frames at different addresses: an honest block and a same-size
+  // tampered twin. Hashing one never answers for the other, in either
+  // order.
+  const Block honest = make_block(2, 1, Hash256{}, 1, {make_op(1, 1, 64)});
+  Block tampered = honest;
+  Bytes p(honest.ops[0].payload.begin(), honest.ops[0].payload.end());
+  p[7] ^= 0xeb;
+  tampered.ops[0].payload = p;
+  const Payload honest_frame{encode_to_bytes(honest)};
+  const Payload tampered_frame{encode_to_bytes(tampered)};
+  auto decode = [](const Payload& frame) {
+    Reader r(frame, frame.view());
+    return std::move(decode_all<Block>(r)).take();
+  };
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(decode(tampered_frame).hash(), tampered.hash());
+    EXPECT_EQ(decode(honest_frame).hash(), honest.hash());
+  }
+  EXPECT_NE(honest.hash(), tampered.hash());
+}
+
+TEST(ZeroCopy, DigestMemoIsBoundedByPinnedBytes) {
+  // Each memo entry keeps its frame alive. Hashing a stream of fat frames
+  // must not keep them all: the memo lets go of the oldest once the bytes
+  // it pins pass its budget (a few MiB), whatever the entry count.
+  constexpr int kFrames = 12;
+  std::vector<Payload> frames;
+  for (int i = 0; i < kFrames; ++i) {
+    const Block b =
+        make_block(1, static_cast<Height>(i + 1), Hash256{}, 0,
+                   {make_op(1, static_cast<RequestId>(i), 1 << 20)});
+    frames.emplace_back(encode_to_bytes(b));
+    Reader r(frames.back(), frames.back().view());
+    EXPECT_EQ(std::move(decode_all<Block>(r)).take().hash(), b.hash());
+  }
+  int pinned = 0;
+  for (const Payload& f : frames) pinned += f.use_count() > 1 ? 1 : 0;
+  EXPECT_EQ(frames.front().use_count(), 1);
+  EXPECT_LE(pinned, 4);
+  EXPECT_GE(pinned, 1);  // the newest frames stay memoized
+}
+
+TEST(ZeroCopy, CopiesForgetTheReceivedBytes) {
+  // Copy-then-mutate derives a new block; the copy must not hash the
+  // bytes its source was decoded from.
+  const Block original = make_block(6, 3, Hash256{}, 5, {make_op(1, 1, 32)});
+  const Payload frame{encode_to_bytes(original)};
+  Reader r(frame, frame.view());
+  const Block decoded = std::move(decode_all<Block>(r)).take();
+  Block derived = decoded;
+  derived.view = 7;
+  Block expected = original;
+  expected.view = 7;
+  EXPECT_EQ(derived.hash(), expected.hash());
+  EXPECT_NE(derived.hash(), decoded.hash());
+}
+
+TEST(ZeroCopy, ReleasedOpsKeepIdentityAndUnpinTheFrame) {
+  const Block original =
+      make_block(3, 2, Hash256{}, 2, {make_op(4, 4, 200), make_op(4, 5, 9)});
+  const Payload frame{encode_to_bytes(original)};
+  Reader r(frame, frame.view());
+  Block decoded = std::move(decode_all<Block>(r)).take();
+  const long pinned = frame.use_count();
+  EXPECT_GT(pinned, 1);  // ops and the recorded encoding alias the frame
+  decoded.release_ops();
+  EXPECT_TRUE(decoded.ops.empty());
+  EXPECT_EQ(decoded.hash(), original.hash());
+  EXPECT_LT(frame.use_count(), pinned);
+}
+
+TEST(ZeroCopy, ReplyPaddingIsWrittenInPlaceAndSkipped) {
+  ClientReplyMsg m;
+  m.client = 1;
+  m.requests = {5};
+  m.result = to_bytes("12345678");
+  m.padding = 97;
+  const Bytes wire = encode_to_bytes(m);
+  // The filler is on the wire, byte for byte...
+  ASSERT_GE(wire.size(), 97u);
+  for (std::size_t i = wire.size() - 97; i < wire.size(); ++i) {
+    EXPECT_EQ(wire[i], ClientReplyMsg::kPaddingByte);
+  }
+  // ...and decode only measures it.
+  auto back = decode_from_bytes<ClientReplyMsg>(wire);
+  ASSERT_TRUE(back.is_ok());
+  EXPECT_EQ(back.value().padding, 97u);
+  EXPECT_EQ(encode_to_bytes(back.value()), wire);
+}
+
+TEST(ZeroCopy, ReplyTallyCountsDistinctReplicasPerResult) {
+  ReplyTally tally;
+  const PayloadSlice a = to_bytes("aaaa");
+  const PayloadSlice b = to_bytes("bbbb");
+  EXPECT_EQ(tally.add(1, a), 1u);
+  EXPECT_EQ(tally.add(1, a), 1u);  // a repeat vouches once
+  EXPECT_EQ(tally.add(2, b), 1u);  // a different result counts apart
+  EXPECT_EQ(tally.add(3, a), 2u);
+  EXPECT_EQ(tally.add(2, a), 3u);  // content, not buffer, decides a match
+}
 
 }  // namespace
 }  // namespace marlin::types

@@ -117,7 +117,7 @@ TEST(WireGolden, QuorumCertEncodingRoundTripsByteExact) {
 TEST(WireGolden, EnvelopeKindByteLeads) {
   types::FetchRequestMsg req{Hash256{}, 0};
   const Bytes wire =
-      types::make_envelope(types::MsgKind::kFetchRequest, req).serialize();
+      types::make_envelope(types::MsgKind::kFetchRequest, req).wire().bytes();
   EXPECT_EQ(wire[0], static_cast<std::uint8_t>(types::MsgKind::kFetchRequest));
 }
 
