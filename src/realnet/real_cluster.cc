@@ -103,26 +103,8 @@ Status RealCluster::build_node(std::uint32_t id) {
   if (id < n()) {
     // Suites built from the same seed are identical; a private instance per
     // replica keeps the (non-thread-safe) verification caches unshared.
-    Bytes seed_bytes(8);
-    for (int i = 0; i < 8; ++i) {
-      seed_bytes[i] = static_cast<std::uint8_t>(config_.seed >> (8 * i));
-    }
-    node.suite = crypto::make_fast_suite(n(), seed_bytes);
-
-    const runtime::ConsensusConfig& cons = config_.consensus;
-    RealReplicaConfig rc;
-    rc.replica.id = id;
-    rc.replica.quorum = QuorumParams::for_f(config_.f);
-    rc.replica.max_batch_ops = cons.max_batch_ops;
-    rc.replica.pipelined = cons.pipelined;
-    rc.replica.allow_empty_blocks = cons.allow_empty_blocks;
-    rc.replica.disable_happy_path = cons.disable_happy_path;
-    rc.replica.use_threshold_sigs = cons.use_threshold_sigs;
-    rc.protocol = cons.protocol;
-    rc.pacemaker = cons.pacemaker;
-    rc.checkpoint_interval = cons.checkpoint_interval;
-    rc.reply_size = cons.reply_size;
-    rc.client_base = n();
+    node.suite = runtime::make_cluster_suite(config_);
+    runtime::ReplicaHostConfig rc = runtime::make_replica_config(config_, id);
     rc.sync_writes = options_.sync_writes;
     rc.trace = node.trace.get();
     if (!options_.data_dir.empty()) {
@@ -131,15 +113,11 @@ Status RealCluster::build_node(std::uint32_t id) {
     if (options_.verify_workers > 0) {
       node.verify =
           std::make_unique<VerifyPool>(*node.loop, options_.verify_workers);
-      rc.verify_pool = node.verify.get();
     }
-    node.replica = std::make_unique<RealReplica>(*node.loop, *node.transport,
-                                                 *node.suite, rc);
+    node.replica = std::make_unique<RealReplica>(
+        *node.loop, *node.transport, *node.suite, rc, node.verify.get());
     if (!node.replica->ok().is_ok()) return node.replica->ok();
     RealReplica* host = node.replica.get();
-    node.transport->set_handler([host](std::uint32_t from, Payload p) {
-      host->on_message(from, std::move(p));
-    });
     if (options_.telemetry) {
       obs::TelemetryHandlers th;
       th.metrics = [host] {
@@ -163,21 +141,13 @@ Status RealCluster::build_node(std::uint32_t id) {
       node.telemetry_port = port.value();
     }
   } else {
-    RealClientConfig cc;
-    cc.id = id - n();
-    cc.quorum = QuorumParams::for_f(config_.f);
-    cc.window = config_.clients.window;
-    cc.payload_size = config_.clients.payload_size;
-    cc.retransmit_timeout = config_.clients.retransmit_timeout;
-    cc.max_requests = config_.clients.max_requests;
-    cc.rng_seed = config_.seed * 0x9e3779b97f4a7c15ull + id;
+    runtime::ClientHostConfig cc =
+        runtime::make_client_config(config_, id - n());
     cc.trace = node.trace.get();
-    node.client =
-        std::make_unique<RealClient>(*node.loop, *node.transport, cc);
-    RealClient* host = node.client.get();
-    node.transport->set_handler([host](std::uint32_t from, Payload p) {
-      host->on_message(from, std::move(p));
-    });
+    // Payload entropy from the cluster seed and node id: repeatable runs.
+    node.client = std::make_unique<runtime::ClientHost>(
+        std::make_unique<MetalIo>(*node.loop, *node.transport), cc,
+        Rng(config_.seed * 0x9e3779b97f4a7c15ull + id));
   }
   return Status::ok();
 }
@@ -191,7 +161,7 @@ void RealCluster::start_node(std::uint32_t id) {
     RealReplica* host = node.replica.get();
     loop->post([host] { host->start(); });
   } else {
-    RealClient* host = node.client.get();
+    runtime::ClientHost* host = node.client.get();
     loop->post([loop, host, delay = client_stagger(id - n())] {
       loop->post_after(delay, [host] { host->start(); });
     });
@@ -249,7 +219,7 @@ void RealCluster::stop() {
   //    replica drains still land somewhere.
   for (std::uint32_t id = n(); id < nodes_.size(); ++id) {
     if (!nodes_[id].alive) continue;
-    RealClient* host = nodes_[id].client.get();
+    runtime::ClientHost* host = nodes_[id].client.get();
     nodes_[id].loop->post([host] { host->quiesce(); });
   }
   // 2. Drain and stop every replica concurrently (while all are live their
@@ -316,19 +286,19 @@ double RealCluster::client_throughput() const {
 }
 
 double RealCluster::latency_ms(double percentile) const {
-  LatencyHistogram merged;
+  std::vector<const LatencyHistogram*> lat;
   for (const auto& node : nodes_) {
-    if (node.client) merged.merge_from(node.client->latency());
+    if (node.client) lat.push_back(&node.client->latency());
   }
-  return merged.percentile(percentile).as_millis_f();
+  return runtime::pooled_latency(lat).percentile(percentile).as_millis_f();
 }
 
 double RealCluster::mean_latency_ms() const {
-  LatencyHistogram merged;
+  std::vector<const LatencyHistogram*> lat;
   for (const auto& node : nodes_) {
-    if (node.client) merged.merge_from(node.client->latency());
+    if (node.client) lat.push_back(&node.client->latency());
   }
-  return merged.mean().as_millis_f();
+  return runtime::pooled_latency(lat).mean().as_millis_f();
 }
 
 std::uint64_t RealCluster::total_completed() const {
@@ -339,32 +309,22 @@ std::uint64_t RealCluster::total_completed() const {
   return total;
 }
 
-bool RealCluster::any_safety_violation() const {
+std::vector<const consensus::ReplicaBase*> RealCluster::protocols() const {
+  // A stopped (or killed-and-joined) replica's final state is still
+  // readable through its host object; no liveness filter here.
+  std::vector<const consensus::ReplicaBase*> out;
   for (std::uint32_t i = 0; i < n(); ++i) {
-    if (!nodes_[i].replica) continue;
-    if (nodes_[i].replica->protocol().safety_violated()) return true;
+    out.push_back(nodes_[i].replica ? &nodes_[i].replica->protocol() : nullptr);
   }
-  return false;
+  return out;
+}
+
+bool RealCluster::any_safety_violation() const {
+  return runtime::any_safety_violation(protocols());
 }
 
 bool RealCluster::committed_heights_consistent() const {
-  // A stopped (or killed-and-joined) replica's final state is still
-  // readable through its host object; no liveness filter here.
-  for (std::uint32_t i = 0; i < n(); ++i) {
-    if (!nodes_[i].replica) continue;
-    for (std::uint32_t j = i + 1; j < n(); ++j) {
-      if (!nodes_[j].replica) continue;
-      const auto& a = nodes_[i].replica->protocol();
-      const auto& b = nodes_[j].replica->protocol();
-      const auto& lo = a.committed_height() <= b.committed_height() ? a : b;
-      const auto& hi = a.committed_height() <= b.committed_height() ? b : a;
-      if (lo.committed_height() == 0) continue;
-      if (!hi.store().extends(hi.committed_hash(), lo.committed_hash())) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return runtime::committed_heights_consistent(protocols());
 }
 
 Height RealCluster::min_committed_height() const {
@@ -421,7 +381,7 @@ obs::MetricsRegistry RealCluster::sample_metrics(Duration patience) {
       ++shared->outstanding;
     }
     RealReplica* replica = node.replica.get();
-    RealClient* client = node.client.get();
+    runtime::ClientHost* client = node.client.get();
     node.loop->post([shared, id, is_replica, replica, client] {
       Sample s{id, {}, {}, is_replica};
       if (is_replica) {
@@ -448,16 +408,9 @@ obs::MetricsRegistry RealCluster::sample_metrics(Duration patience) {
             [](const Sample& a, const Sample& b) { return a.id < b.id; });
 
   obs::MetricsRegistry out;
-  char label[32];
   for (const Sample& s : samples) {
     if (s.is_replica) {
-      out.merge_from(s.registry);
-      // Gauges are meaningless summed across replicas; keep the distinct
-      // values under per-replica labels (same shape as the sim cluster).
-      std::snprintf(label, sizeof label, "replica=%u", s.id);
-      for (const auto& [key, value] : s.registry.gauges()) {
-        out.gauge(key.name, label) = value;
-      }
+      runtime::merge_replica_metrics(out, s.registry, s.id);
     } else {
       out.latency("client.latency").merge_from(s.client_latency);
     }

@@ -1,9 +1,10 @@
 // Full real-socket deployment on localhost: n replicas + m closed-loop
 // clients, each a TcpTransport + EventLoop on its own thread, speaking
 // length-prefixed frames over 127.0.0.1 TCP. Reuses runtime::ClusterConfig
-// so a sim experiment and a metal run share one description (the simnet
-// fields — NetConfig latency model, fault plan — simply don't apply here;
-// real crashes are injected with kill_replica/relaunch_replica).
+// and its host-config mapping (runtime::make_replica_config et al.), so a
+// sim experiment and a metal run share one description (the simnet fields —
+// NetConfig latency model, fault plan — simply don't apply here; real
+// crashes are injected with kill_replica/relaunch_replica).
 //
 // Construction happens entirely on the calling thread: every node's
 // listener is pre-bound (ephemeral ports) so the full endpoint table
@@ -20,7 +21,6 @@
 
 #include "crypto/signer.h"
 #include "obs/telemetry_server.h"
-#include "realnet/real_client.h"
 #include "realnet/real_replica.h"
 #include "runtime/cluster.h"
 
@@ -85,7 +85,7 @@ class RealCluster {
 
   // -- metrology (stopped cluster only, unless noted) ------------------------
   RealReplica& replica(ReplicaId i) { return *nodes_[i].replica; }
-  RealClient& client(ClientId i) { return *nodes_[n() + i].client; }
+  runtime::ClientHost& client(ClientId i) { return *nodes_[n() + i].client; }
   /// Wire stats for node id (replicas then clients) — safe after stop().
   const net::NodeNetStats& node_stats(std::uint32_t id) const;
   /// Node id's transport (drain/shutdown assertions) — safe after stop().
@@ -145,7 +145,7 @@ class RealCluster {
     // the loop (declared first) is still alive for completion posts.
     std::unique_ptr<VerifyPool> verify;    // replicas only, opt-in
     std::unique_ptr<RealReplica> replica;  // replicas only
-    std::unique_ptr<RealClient> client;             // clients only
+    std::unique_ptr<runtime::ClientHost> client;  // clients only
     // Declared after the hosts it reads from: destroyed first, while the
     // loop (declared first) is still alive for del_fd calls.
     std::unique_ptr<obs::TelemetryServer> telemetry;  // replicas only
@@ -161,6 +161,8 @@ class RealCluster {
   void start_node(std::uint32_t id);
   void begin_stop(std::uint32_t id, bool drain);
   void join_node(std::uint32_t id);
+  /// Every built replica's protocol (stopped cluster only).
+  std::vector<const consensus::ReplicaBase*> protocols() const;
 
   runtime::ClusterConfig config_;
   RealClusterOptions options_;

@@ -1,7 +1,10 @@
 #include "runtime/cluster.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
+
+#include "runtime/sim_io.h"
 
 namespace marlin::runtime {
 
@@ -68,51 +71,25 @@ void Cluster::build(const EngineBinding& engine) {
     net_->set_trace(config_.trace);
   }
 
-  Bytes seed_bytes(8);
-  for (int i = 0; i < 8; ++i) {
-    seed_bytes[i] = static_cast<std::uint8_t>(config_.seed >> (8 * i));
-  }
-  suite_ = crypto::make_fast_suite(n, seed_bytes);
+  suite_ = make_cluster_suite(config_);
 
-  const ConsensusConfig& cons = config_.consensus;
   for (ReplicaId r = 0; r < n; ++r) {
-    ReplicaProcessConfig rc;
-    rc.replica.id = r;
-    rc.replica.quorum = QuorumParams::for_f(config_.f);
-    rc.replica.max_batch_ops = cons.max_batch_ops;
-    rc.replica.pipelined = cons.pipelined;
-    rc.replica.allow_empty_blocks = cons.allow_empty_blocks;
-    rc.replica.disable_happy_path = cons.disable_happy_path;
-    rc.replica.use_threshold_sigs = cons.use_threshold_sigs;
-    rc.protocol = cons.protocol;
-    rc.crypto_costs = config_.crypto_costs;
-    rc.storage_costs = config_.storage_costs;
-    rc.pacemaker = cons.pacemaker;
-    rc.checkpoint_interval = cons.checkpoint_interval;
-    rc.reply_size = cons.reply_size;
-    rc.client_base = n;
+    ReplicaHostConfig rc = make_replica_config(config_, r);
     rc.trace = engine.node_trace ? engine.node_trace(r) : config_.trace;
-    rc.disable_persistence = cons.disable_persistence;
-    replicas_.push_back(
-        std::make_unique<ReplicaProcess>(*sched_of_(r), *net_, *suite_, rc));
+    replicas_.push_back(std::make_unique<ReplicaHost>(
+        std::make_unique<SimIo>(*sched_of_(r), *net_), *suite_, rc));
+    assert(replicas_.back()->ok().is_ok());
     replicas_.back()->set_count_authenticators(config_.count_authenticators);
-    replicas_.back()->attach();
     if (engine.node_trace) net_->set_node_trace(r, engine.node_trace(r));
   }
 
   for (ClientId c = 0; c < config_.clients.count; ++c) {
-    ClientProcessConfig cc;
-    cc.id = c;
-    cc.quorum = QuorumParams::for_f(config_.f);
-    cc.window = config_.clients.window;
-    cc.payload_size = config_.clients.payload_size;
-    cc.retransmit_timeout = config_.clients.retransmit_timeout;
-    cc.max_requests = config_.clients.max_requests;
+    ClientHostConfig cc = make_client_config(config_, c);
     const sim::NodeId node = n + c;
     cc.trace = engine.node_trace ? engine.node_trace(node) : config_.trace;
-    clients_.push_back(std::make_unique<ClientProcess>(
-        *sched_of_(node), *net_, cc, engine.setup_rng->fork()));
-    clients_.back()->attach();
+    clients_.push_back(std::make_unique<ClientHost>(
+        std::make_unique<SimIo>(*sched_of_(node), *net_), cc,
+        engine.setup_rng->fork()));
     if (engine.node_trace) net_->set_node_trace(node, engine.node_trace(node));
   }
 
@@ -140,7 +117,7 @@ void Cluster::start() {
   // start is posted on the client's home scheduler so it runs on the
   // client's shard (the global queue, when there is only one).
   for (std::size_t c = 0; c < clients_.size(); ++c) {
-    ClientProcess* client = clients_[c].get();
+    ClientHost* client = clients_[c].get();
     sched_of_(n() + static_cast<sim::NodeId>(c))
         ->post(Duration::millis(5) +
                    Duration::millis(41) * static_cast<std::int64_t>(c),
@@ -181,15 +158,15 @@ double Cluster::client_throughput() const {
 }
 
 double Cluster::latency_ms(double percentile) const {
-  LatencyHistogram merged;
-  for (const auto& c : clients_) merged.merge_from(c->latency());
-  return merged.percentile(percentile).as_millis_f();
+  std::vector<const LatencyHistogram*> lat;
+  for (const auto& c : clients_) lat.push_back(&c->latency());
+  return pooled_latency(lat).percentile(percentile).as_millis_f();
 }
 
 double Cluster::mean_latency_ms() const {
-  LatencyHistogram merged;
-  for (const auto& c : clients_) merged.merge_from(c->latency());
-  return merged.mean().as_millis_f();
+  std::vector<const LatencyHistogram*> lat;
+  for (const auto& c : clients_) lat.push_back(&c->latency());
+  return pooled_latency(lat).mean().as_millis_f();
 }
 
 std::uint64_t Cluster::total_completed() const {
@@ -201,15 +178,9 @@ std::uint64_t Cluster::total_completed() const {
 void Cluster::export_metrics(obs::MetricsRegistry& out) const {
   char label[32];
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    const obs::MetricsRegistry& m = replicas_[r]->metrics();
-    // Cluster totals (counters add, histograms pool, gauges keep the max).
-    out.merge_from(m);
-    // Gauges are meaningless summed across replicas; re-export them with a
-    // per-replica label so snapshots keep the distinct values.
+    merge_replica_metrics(out, replicas_[r]->metrics(),
+                          static_cast<ReplicaId>(r));
     std::snprintf(label, sizeof label, "replica=%zu", r);
-    for (const auto& [key, value] : m.gauges()) {
-      out.gauge(key.name, label) = value;
-    }
     out.counter("replica.authenticators_sent", label) =
         replicas_[r]->traffic().authenticators_sent;
   }
@@ -219,22 +190,84 @@ void Cluster::export_metrics(obs::MetricsRegistry& out) const {
   net_->export_metrics(out);
 }
 
-bool Cluster::any_safety_violation() const {
-  for (const auto& r : replicas_) {
-    if (r->protocol().safety_violated()) return true;
+std::vector<const consensus::ReplicaBase*> Cluster::protocols(
+    bool live_only) const {
+  std::vector<const consensus::ReplicaBase*> out;
+  for (std::size_t i = 0; i < replicas_.size(); ++i) {
+    const bool down = net_->is_down(static_cast<sim::NodeId>(i));
+    out.push_back(live_only && down ? nullptr : &replicas_[i]->protocol());
   }
-  return false;
+  return out;
+}
+
+bool Cluster::any_safety_violation() const {
+  return runtime::any_safety_violation(protocols(/*live_only=*/false));
 }
 
 bool Cluster::committed_heights_consistent() const {
-  // For every pair of live replicas, the one with the lower committed
-  // height must have its committed hash on the other's chain.
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (net_->is_down(static_cast<sim::NodeId>(i))) continue;
-    for (std::size_t j = i + 1; j < replicas_.size(); ++j) {
-      if (net_->is_down(static_cast<sim::NodeId>(j))) continue;
-      const auto& a = replicas_[i]->protocol();
-      const auto& b = replicas_[j]->protocol();
+  return runtime::committed_heights_consistent(protocols(/*live_only=*/true));
+}
+
+// ---------------------------------------------------------------------------
+// Shared by the sim and metal clusters
+// ---------------------------------------------------------------------------
+
+ReplicaHostConfig make_replica_config(const ClusterConfig& config,
+                                      ReplicaId id) {
+  const ConsensusConfig& cons = config.consensus;
+  ReplicaHostConfig rc;
+  rc.replica.id = id;
+  rc.replica.quorum = QuorumParams::for_f(config.f);
+  rc.replica.max_batch_ops = cons.max_batch_ops;
+  rc.replica.pipelined = cons.pipelined;
+  rc.replica.allow_empty_blocks = cons.allow_empty_blocks;
+  rc.replica.disable_happy_path = cons.disable_happy_path;
+  rc.replica.use_threshold_sigs = cons.use_threshold_sigs;
+  rc.protocol = cons.protocol;
+  rc.crypto_costs = config.crypto_costs;
+  rc.storage_costs = config.storage_costs;
+  rc.pacemaker = cons.pacemaker;
+  rc.checkpoint_interval = cons.checkpoint_interval;
+  rc.reply_size = cons.reply_size;
+  rc.disable_persistence = cons.disable_persistence;
+  return rc;
+}
+
+ClientHostConfig make_client_config(const ClusterConfig& config, ClientId id) {
+  ClientHostConfig cc;
+  cc.id = id;
+  cc.quorum = QuorumParams::for_f(config.f);
+  cc.window = config.clients.window;
+  cc.payload_size = config.clients.payload_size;
+  cc.retransmit_timeout = config.clients.retransmit_timeout;
+  cc.max_requests = config.clients.max_requests;
+  return cc;
+}
+
+std::unique_ptr<crypto::SignatureSuite> make_cluster_suite(
+    const ClusterConfig& config) {
+  Bytes seed_bytes(8);
+  for (int i = 0; i < 8; ++i) {
+    seed_bytes[i] = static_cast<std::uint8_t>(config.seed >> (8 * i));
+  }
+  return crypto::make_fast_suite(3 * config.f + 1, seed_bytes);
+}
+
+bool any_safety_violation(
+    const std::vector<const consensus::ReplicaBase*>& replicas) {
+  return std::any_of(replicas.begin(), replicas.end(), [](const auto* p) {
+    return p != nullptr && p->safety_violated();
+  });
+}
+
+bool committed_heights_consistent(
+    const std::vector<const consensus::ReplicaBase*>& replicas) {
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    if (replicas[i] == nullptr) continue;
+    for (std::size_t j = i + 1; j < replicas.size(); ++j) {
+      if (replicas[j] == nullptr) continue;
+      const auto& a = *replicas[i];
+      const auto& b = *replicas[j];
       const auto& lo = a.committed_height() <= b.committed_height() ? a : b;
       const auto& hi = a.committed_height() <= b.committed_height() ? b : a;
       if (lo.committed_height() == 0) continue;
@@ -244,6 +277,23 @@ bool Cluster::committed_heights_consistent() const {
     }
   }
   return true;
+}
+
+void merge_replica_metrics(obs::MetricsRegistry& out,
+                           const obs::MetricsRegistry& replica, ReplicaId id) {
+  out.merge_from(replica);
+  char label[32];
+  std::snprintf(label, sizeof label, "replica=%u", id);
+  for (const auto& [key, value] : replica.gauges()) {
+    out.gauge(key.name, label) = value;
+  }
+}
+
+LatencyHistogram pooled_latency(
+    const std::vector<const LatencyHistogram*>& clients) {
+  LatencyHistogram merged;
+  for (const LatencyHistogram* h : clients) merged.merge_from(*h);
+  return merged;
 }
 
 }  // namespace marlin::runtime

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "faults/fault_controller.h"
-#include "runtime/client_process.h"
-#include "runtime/replica_process.h"
+#include "runtime/client_host.h"
+#include "runtime/replica_host.h"
 #include "simnet/sharded.h"
 
 namespace marlin::runtime {
@@ -62,6 +62,37 @@ struct ClusterConfig {
   bool count_authenticators = false;
 };
 
+// -- Shared by the sim cluster and realnet::RealCluster ----------------------
+
+/// Host config of replica `id`: the protocol, pacemaker, cost and reply
+/// knobs of `config`. Callers add what is per-backend: the trace sink and,
+/// on metal, the data dir and sync_writes.
+ReplicaHostConfig make_replica_config(const ClusterConfig& config,
+                                      ReplicaId id);
+/// Host config of client `id` (trace sink left to the caller).
+ClientHostConfig make_client_config(const ClusterConfig& config, ClientId id);
+/// The cluster's signature suite, seeded from config.seed. Suites built
+/// from the same seed are identical.
+std::unique_ptr<crypto::SignatureSuite> make_cluster_suite(
+    const ClusterConfig& config);
+
+/// Cluster-wide probes over the replicas' protocols; null entries (replicas
+/// the caller skips) are ignored.
+bool any_safety_violation(
+    const std::vector<const consensus::ReplicaBase*>& replicas);
+/// All listed replicas agree on committed prefixes: for every pair, the
+/// lower committed hash is on the higher one's chain.
+bool committed_heights_consistent(
+    const std::vector<const consensus::ReplicaBase*>& replicas);
+/// Adds replica `id`'s registry into a cluster snapshot: counters add,
+/// histograms pool, gauges keep the max — and are re-exported under
+/// "replica=<id>", since summed gauges are meaningless.
+void merge_replica_metrics(obs::MetricsRegistry& out,
+                           const obs::MetricsRegistry& replica, ReplicaId id);
+/// The clients' latency distributions pooled into one.
+LatencyHistogram pooled_latency(
+    const std::vector<const LatencyHistogram*>& clients);
+
 class Cluster {
  public:
   /// How a cluster binds to an event engine. The composition root (the
@@ -101,9 +132,9 @@ class Cluster {
   std::uint32_t f() const { return config_.f; }
   const ClusterConfig& config() const { return config_; }
 
-  ReplicaProcess& replica(ReplicaId i) { return *replicas_[i]; }
-  const ReplicaProcess& replica(ReplicaId i) const { return *replicas_[i]; }
-  ClientProcess& client(ClientId i) { return *clients_[i]; }
+  ReplicaHost& replica(ReplicaId i) { return *replicas_[i]; }
+  const ReplicaHost& replica(ReplicaId i) const { return *replicas_[i]; }
+  ClientHost& client(ClientId i) { return *clients_[i]; }
   sim::Network& network() { return *net_; }
   std::size_t client_count() const { return clients_.size(); }
 
@@ -150,14 +181,16 @@ class Cluster {
 
  private:
   void build(const EngineBinding& engine);
+  /// Every replica's protocol, or only the live ones (null = down).
+  std::vector<const consensus::ReplicaBase*> protocols(bool live_only) const;
 
   marlin::Scheduler* control_ = nullptr;
   std::function<marlin::Scheduler*(sim::NodeId)> sched_of_;
   ClusterConfig config_;
   std::unique_ptr<sim::Network> net_;
   std::unique_ptr<crypto::SignatureSuite> suite_;
-  std::vector<std::unique_ptr<ReplicaProcess>> replicas_;
-  std::vector<std::unique_ptr<ClientProcess>> clients_;
+  std::vector<std::unique_ptr<ReplicaHost>> replicas_;
+  std::vector<std::unique_ptr<ClientHost>> clients_;
   std::unique_ptr<faults::FaultController> faults_;
 };
 

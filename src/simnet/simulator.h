@@ -23,10 +23,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/event_fn.h"
 #include "common/rng.h"
 #include "common/scheduler.h"
 #include "common/sim_time.h"
-#include "simnet/event_fn.h"
 
 namespace marlin::sim {
 

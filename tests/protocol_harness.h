@@ -108,7 +108,7 @@ class ProtocolHarness {
 
   /// Push a message onto the bus (tests can forge anything). A sender with
   /// an active ByzantineBox has its envelope transformed — possibly into
-  /// nothing — exactly as the runtime's ReplicaProcess::send would.
+  /// nothing — exactly as the runtime's ReplicaHost::send would.
   void post(ReplicaId from, ReplicaId to, types::Envelope env) {
     if (from < byzantine_.size() && byzantine_[from].active()) {
       auto out = byzantine_[from].transform(env, from, to);

@@ -619,6 +619,11 @@ TEST(RealCluster, KilledReplicaRelaunchesFromDiskAndRejoins) {
   cluster.stop();
   EXPECT_FALSE(cluster.any_safety_violation());
   EXPECT_TRUE(cluster.committed_heights_consistent());
+  // The relaunch exports the same recovery counters as a simulated
+  // restart (restart_test's RecoveryMetricsAreExported).
+  const auto& metrics = cluster.replica(2).metrics();
+  EXPECT_EQ(metrics.counter_value("recovery.restarts"), 1u);
+  EXPECT_GT(metrics.counter_value("recovery.wal_records_replayed"), 0u);
   std::filesystem::remove_all(dir);
 }
 
