@@ -506,6 +506,9 @@ void ReplicaBase::commit_to(const Hash256& target, ReplicaId provider) {
       recent_committed_.pop_front();
     }
   }
+  // Followers never drain their pools into batches; purging here keeps
+  // every pool bounded by the ops still in flight.
+  pool_.purge();
   // The commit frontier advanced: make it durable so a restart resumes
   // from here instead of re-fetching (and so restarted replicas never
   // re-deliver).

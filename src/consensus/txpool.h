@@ -4,7 +4,9 @@
 // executed watermark drops stale re-submissions.
 #pragma once
 
+#include <algorithm>
 #include <deque>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -18,11 +20,9 @@ class TxPool {
   /// Adds an operation; ignored when already pooled or already executed.
   /// `at` is the enqueue time, kept only for pool-wait attribution.
   void add(types::Operation op, TimePoint at = TimePoint::origin()) {
-    const std::uint64_t key = op_key(op);
-    if (pooled_.contains(key)) return;
-    auto it = executed_.find(op.client);
-    if (it != executed_.end() && op.request <= it->second) return;
-    pooled_.insert(key);
+    ClientRecord& rec = record(op.client);
+    if (rec.executed(op.request) || rec.pooled.contains(op.request)) return;
+    rec.pooled.insert(op.request);
     queue_.push_back({std::move(op), at});
   }
 
@@ -35,9 +35,9 @@ class TxPool {
     while (batch.size() < max_ops && !queue_.empty()) {
       Entry entry = std::move(queue_.front());
       queue_.pop_front();
-      pooled_.erase(op_key(entry.op));
-      auto it = executed_.find(entry.op.client);
-      if (it != executed_.end() && entry.op.request <= it->second) continue;
+      ClientRecord& rec = record(entry.op.client);
+      rec.pooled.erase_oldest(entry.op.request);
+      if (rec.executed(entry.op.request)) continue;
       if (first) {
         // FIFO order: the first surviving op has waited the longest.
         last_batch_oldest_ = entry.at;
@@ -53,26 +53,40 @@ class TxPool {
   TimePoint last_batch_oldest_enqueue() const { return last_batch_oldest_; }
 
   /// Marks a committed operation: advances the executed watermark and
-  /// drops the pooled copy lazily (skipped at pop time).
+  /// drops the pooled copy lazily (skipped at pop time, or by purge()).
   void mark_committed(const types::Operation& op) {
-    auto [it, inserted] = executed_.try_emplace(op.client, op.request);
-    if (!inserted && op.request > it->second) it->second = op.request;
+    ClientRecord& rec = record(op.client);
+    if (!rec.any_executed || op.request > rec.watermark) {
+      rec.watermark = op.request;
+      rec.any_executed = true;
+    }
   }
 
   bool executed(ClientId client, RequestId request) const {
-    auto it = executed_.find(client);
-    return it != executed_.end() && request <= it->second;
+    const std::size_t slot = slot_of(client);
+    return slot != kNoSlot && records_[slot].executed(request);
   }
 
-  /// Pending (not-yet-committed) work. Commits arrive roughly in pool
-  /// order, so purging stale entries from the front keeps these accurate
-  /// at O(1) amortized.
+  /// Drops committed ops from the front of the queue. Commits arrive
+  /// roughly in pool order, so this keeps the queue near its uncommitted
+  /// size at O(1) amortized per op.
+  void purge() {
+    while (!queue_.empty()) {
+      const types::Operation& op = queue_.front().op;
+      ClientRecord& rec = record(op.client);
+      if (!rec.executed(op.request)) break;
+      rec.pooled.erase_oldest(op.request);
+      queue_.pop_front();
+    }
+  }
+
+  /// Pending (not-yet-committed) work, purged first.
   std::size_t pending() {
-    purge_front();
+    purge();
     return queue_.size();
   }
   bool empty() {
-    purge_front();
+    purge();
     return queue_.empty();
   }
 
@@ -89,96 +103,104 @@ class TxPool {
     TimePoint at;  // enqueue time (observability only)
   };
 
-  void purge_front() {
-    while (!queue_.empty()) {
-      const types::Operation& op = queue_.front().op;
-      if (!executed(op.client, op.request)) break;
-      pooled_.erase(op_key(op));
-      queue_.pop_front();
-    }
-  }
-
-  static std::uint64_t op_key(const types::Operation& op) {
-    // Clients issue sequential ids; (client, request) packs into 64 bits
-    // for the life of any experiment.
-    return static_cast<std::uint64_t>(op.client) << 40 | op.request;
-  }
-
-  /// Dedup keys of pooled ops in one open-addressing table (linear
-  /// probing, tombstones): each op inserts and erases one key, and a
-  /// node-based set would allocate for every one. The table allocates only
-  /// when it grows or sweeps its tombstones, and keeps its load at most
-  /// 3/4, so every probe ends at an empty slot.
-  class KeySet {
+  /// One client's pooled request ids, exact for any id. The queue is FIFO,
+  /// so a client's ids leave in the order they arrived. Ids arriving in
+  /// ascending order (clients number requests sequentially) form a sorted
+  /// run with O(1) append and pop-front and binary-search lookup; an id at
+  /// or below the run's tail (a retransmission, reordering) goes to an
+  /// ordered overflow set. Every operation is O(log k) in the client's k
+  /// pooled ids, whatever the arrival order.
+  class PooledIds {
    public:
-    bool contains(std::uint64_t key) const {
-      if (slots_.empty()) return false;
-      for (std::size_t i = home(key);; i = (i + 1) & mask()) {
-        const Slot& s = slots_[i];
-        if (s.state == kEmpty) return false;
-        if (s.state == kFull && s.key == key) return true;
+    bool contains(RequestId id) const {
+      if (head_ < run_.size() && id >= run_[head_] && id <= run_.back() &&
+          std::binary_search(run_.begin() + static_cast<std::ptrdiff_t>(head_),
+                             run_.end(), id)) {
+        return true;
+      }
+      return !overflow_.empty() && overflow_.contains(id);
+    }
+
+    /// `id` must not be present.
+    void insert(RequestId id) {
+      if (head_ == run_.size() || id > run_.back()) {
+        if (run_.capacity() == 0) run_.reserve(kFirstRun);
+        run_.push_back(id);
+      } else {
+        overflow_.insert(id);
       }
     }
 
-    /// `key` must not be present.
-    void insert(std::uint64_t key) {
-      if ((used_ + 1) * 4 > slots_.size() * 3) rebuild();
-      std::size_t i = home(key);
-      while (slots_[i].state == kFull) i = (i + 1) & mask();
-      if (slots_[i].state == kEmpty) ++used_;
-      slots_[i] = Slot{key, kFull};
-      ++live_;
-    }
-
-    void erase(std::uint64_t key) {
-      if (slots_.empty()) return;
-      for (std::size_t i = home(key);; i = (i + 1) & mask()) {
-        Slot& s = slots_[i];
-        if (s.state == kEmpty) return;
-        if (s.state == kFull && s.key == key) {
-          s.state = kTombstone;
-          --live_;
-          return;
+    /// Removes `id`, which must be the client's oldest pooled id: either
+    /// the run's head (every earlier run id has left) or in the overflow.
+    void erase_oldest(RequestId id) {
+      if (head_ < run_.size() && run_[head_] == id) {
+        if (++head_ == run_.size()) {
+          run_.clear();
+          head_ = 0;
+        } else if (head_ >= 64 && head_ * 2 >= run_.size()) {
+          // Compact: moves fewer ids than were popped since the last one.
+          run_.erase(run_.begin(),
+                     run_.begin() + static_cast<std::ptrdiff_t>(head_));
+          head_ = 0;
         }
+        return;
       }
+      overflow_.erase(id);
     }
 
    private:
-    enum State : std::uint8_t { kEmpty, kFull, kTombstone };
-    struct Slot {
-      std::uint64_t key = 0;
-      State state = kEmpty;
-    };
-
-    std::size_t mask() const { return slots_.size() - 1; }
-    std::size_t home(std::uint64_t key) const {
-      key ^= key >> 33;  // murmur3 finalizer: spreads sequential ids
-      key *= 0xff51afd7ed558ccdULL;
-      key ^= key >> 33;
-      return static_cast<std::size_t>(key) & mask();
-    }
-    /// Rehashes the live keys into a table at most half full, dropping
-    /// tombstones.
-    void rebuild() {
-      std::size_t capacity = 16;
-      while (live_ * 2 >= capacity) capacity *= 2;
-      std::vector<Slot> old(capacity);
-      old.swap(slots_);
-      used_ = 0;
-      live_ = 0;
-      for (const Slot& s : old) {
-        if (s.state == kFull) insert(s.key);
-      }
-    }
-
-    std::vector<Slot> slots_;  // size is 0 or a power of two
-    std::size_t used_ = 0;     // full slots plus tombstones
-    std::size_t live_ = 0;     // full slots
+    static constexpr std::size_t kFirstRun = 32;  // one allocation, not six
+    std::vector<RequestId> run_;  // ascending; live from head_
+    std::size_t head_ = 0;
+    std::set<RequestId> overflow_;
   };
 
+  /// Everything the pool keeps per client, in one place: consecutive ops
+  /// of one client (a request frame carries a run of them) touch one
+  /// record.
+  struct ClientRecord {
+    RequestId watermark = 0;  // highest executed request, if any_executed
+    bool any_executed = false;
+    PooledIds pooled;
+
+    bool executed(RequestId request) const {
+      return any_executed && request <= watermark;
+    }
+  };
+
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  std::size_t slot_of(ClientId client) const {
+    if (cached_slot_ != kNoSlot && cached_client_ == client) {
+      return cached_slot_;
+    }
+    auto it = slots_.find(client);
+    if (it == slots_.end()) return kNoSlot;
+    cached_client_ = client;
+    cached_slot_ = it->second;
+    return cached_slot_;
+  }
+
+  ClientRecord& record(ClientId client) {
+    std::size_t slot = slot_of(client);
+    if (slot == kNoSlot) {
+      slot = records_.size();
+      records_.emplace_back();
+      slots_.emplace(client, slot);
+      cached_client_ = client;
+      cached_slot_ = slot;
+    }
+    return records_[slot];
+  }
+
   std::deque<Entry> queue_;
-  KeySet pooled_;
-  std::unordered_map<ClientId, RequestId> executed_;
+  std::vector<ClientRecord> records_;  // one per client ever seen
+  std::unordered_map<ClientId, std::size_t> slots_;  // client -> records_
+  // Last record found: a frame's ops are one client's, so most lookups
+  // stop here.
+  mutable ClientId cached_client_ = 0;
+  mutable std::size_t cached_slot_ = kNoSlot;
   TimePoint last_batch_oldest_;
 };
 

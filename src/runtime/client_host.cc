@@ -20,7 +20,23 @@ void ClientHost::start() {
 
 void ClientHost::quiesce() {
   quiesced_ = true;
-  for (auto& [id, p] : pending_) p.retransmit.cancel();
+  for (Pending& p : window_) p.retransmit.cancel();
+}
+
+ClientHost::Pending* ClientHost::find_pending(RequestId id) {
+  if (id < window_base_ || id - window_base_ >= window_.size()) return nullptr;
+  Pending& p = window_[id - window_base_];
+  return p.live ? &p : nullptr;
+}
+
+void ClientHost::complete(Pending& p) {
+  p.retransmit.cancel();
+  p = Pending{};  // drops the payload and the tally now
+  --live_;
+  while (!window_.empty() && !window_.front().live) {
+    window_.pop_front();
+    ++window_base_;
+  }
 }
 
 void ClientHost::issue_next() {
@@ -29,7 +45,9 @@ void ClientHost::issue_next() {
     return;
   }
   const RequestId id = next_request_++;
-  Pending& p = pending_[id];
+  Pending& p = window_.emplace_back();
+  p.live = true;
+  ++live_;
   p.first_sent = io_->now();
   p.payload = rng_.next_bytes(config_.payload_size);
   p.replies.expect(config_.quorum.reply_quorum());
@@ -46,14 +64,14 @@ void ClientHost::issue_next() {
 
 void ClientHost::arm_retransmit(RequestId id) {
   if (quiesced_) return;
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  it->second.retransmit.cancel();
-  it->second.retransmit = io_->after(config_.retransmit_timeout, [this, id] {
-    auto pit = pending_.find(id);
-    if (pit == pending_.end()) return;
+  Pending* p = find_pending(id);
+  if (p == nullptr) return;
+  p->retransmit.cancel();
+  p->retransmit = io_->after(config_.retransmit_timeout, [this, id] {
+    Pending* again = find_pending(id);
+    if (again == nullptr) return;
     ++retransmissions_;
-    burst_.push_back(types::Operation{config_.id, id, pit->second.payload});
+    burst_.push_back(types::Operation{config_.id, id, again->payload});
     flush_burst();
     arm_retransmit(id);
   });
@@ -82,15 +100,15 @@ void ClientHost::on_message(std::uint32_t from, Payload payload) {
   if (m.client != config_.id) return;
 
   for (RequestId id : m.requests) {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) continue;
-    if (it->second.replies.add(m.replica, m.result) <
+    Pending* p = find_pending(id);
+    if (p == nullptr) continue;
+    if (p->replies.add(m.replica, m.result) <
         config_.quorum.reply_quorum()) {
       continue;
     }
 
     const TimePoint now = io_->now();
-    latency_.record(now - it->second.first_sent);
+    latency_.record(now - p->first_sent);
     completed_.record(now);
     ++completed_total_;
     if (config_.trace) {
@@ -109,8 +127,7 @@ void ClientHost::on_message(std::uint32_t from, Payload payload) {
                              .a = id,
                              .b = config_.id});
     }
-    it->second.retransmit.cancel();
-    pending_.erase(it);
+    complete(*p);
     issue_next();
   }
   flush_burst();

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <atomic>
-#include <map>
+#include <deque>
 #include <memory>
 
 #include "common/histogram.h"
@@ -54,7 +54,7 @@ class ClientHost final : public FrameHandler {
   WindowedCounter& completed() { return completed_; }
   LatencyHistogram& latency() { return latency_; }
   std::uint64_t issued() const { return next_request_ - 1; }
-  std::uint64_t in_flight() const { return pending_.size(); }
+  std::uint64_t in_flight() const { return live_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
   /// Requests completed so far; safe to read from any thread while a metal
   /// loop runs (progress polls).
@@ -66,8 +66,13 @@ class ClientHost final : public FrameHandler {
     PayloadSlice payload;  // kept for retransmission
     types::ReplyTally replies;
     TimerHandle retransmit;
+    bool live = false;  // issued and not yet completed
   };
 
+  /// The outstanding request `id`, or null when it completed (or was
+  /// never issued).
+  Pending* find_pending(RequestId id);
+  void complete(Pending& p);
   void issue_next();
   void arm_retransmit(RequestId id);
   void flush_burst();
@@ -76,7 +81,12 @@ class ClientHost final : public FrameHandler {
   ClientHostConfig config_;
   std::uint32_t node_id_;  // n + id
   RequestId next_request_ = 1;
-  std::map<RequestId, Pending> pending_;
+  // Requests window_base_ .. next_request_-1, indexed by id - window_base_:
+  // ids are sequential, so a reply frame's ids land on neighbouring
+  // entries. Completed entries stay (not live) until they reach the front.
+  std::deque<Pending> window_;
+  RequestId window_base_ = 1;
+  std::uint64_t live_ = 0;
   std::vector<types::Operation> burst_;  // requests awaiting one flush
   WindowedCounter completed_;
   std::atomic<std::uint64_t> completed_total_{0};  // mirrors completed_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <utility>
 
 namespace marlin::runtime {
@@ -303,26 +302,39 @@ void ReplicaHost::deliver(const types::Block& block,
     metrics_.counter("storage.checkpoints") += 1;
   }
 
-  // Reply to clients: one batched message per client, padded so wire bytes
-  // equal |requests| × reply_size.
-  std::map<ClientId, std::vector<RequestId>> by_client;
-  for (const types::Operation& op : executable) {
-    by_client[op.client].push_back(op.request);
+  // Reply to clients: one batched message per client, in ascending client
+  // order, padded so wire bytes equal |requests| × reply_size. A client's
+  // ops mostly sit in one run (its request frame), so sort runs, not ops.
+  reply_runs_.clear();
+  for (std::uint32_t i = 0; i < executable.size(); ++i) {
+    const ClientId client = executable[i].client;
+    if (reply_runs_.empty() || reply_runs_.back().client != client) {
+      reply_runs_.push_back({client, i, i});
+    }
+    ++reply_runs_.back().end;
   }
+  std::sort(reply_runs_.begin(), reply_runs_.end());
   const types::Hash256 block_hash = block.hash();
   const PayloadSlice result(
       Bytes(block_hash.data.begin(), block_hash.data.begin() + 8));
-  for (auto& [client, requests] : by_client) {
+  for (std::size_t r = 0; r < reply_runs_.size();) {
+    const ClientId client = reply_runs_[r].client;
     types::ClientReplyMsg reply;
     reply.client = client;
     reply.replica = config_.replica.id;
     reply.view = block.view;
     reply.height = block.height;
     reply.result = result;
-    const std::size_t body_overhead = 45 + 8 * requests.size();
-    const std::size_t target = config_.reply_size * requests.size();
+    reply.requests.reserve(reply_runs_[r].end - reply_runs_[r].begin);
+    for (; r < reply_runs_.size() && reply_runs_[r].client == client; ++r) {
+      for (std::uint32_t i = reply_runs_[r].begin; i < reply_runs_[r].end;
+           ++i) {
+        reply.requests.push_back(executable[i].request);
+      }
+    }
+    const std::size_t body_overhead = 45 + 8 * reply.requests.size();
+    const std::size_t target = config_.reply_size * reply.requests.size();
     if (target > body_overhead) reply.padding = target - body_overhead;
-    reply.requests = std::move(requests);
     Payload wire =
         types::make_envelope(MsgKind::kClientReply, reply).wire();
     io_->charge(config_.crypto_costs.serialize_cost(wire.size()));

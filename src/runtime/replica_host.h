@@ -8,8 +8,10 @@
 // replica; the protocol cannot tell which backend it runs on.
 #pragma once
 
+#include <compare>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/histogram.h"
 #include "consensus/hotstuff.h"
@@ -200,6 +202,14 @@ class ReplicaHost : public consensus::ProtocolEnv, public FrameHandler {
   Height restored_height_ = 0;
 
   std::uint64_t blocks_since_checkpoint_ = 0;
+  // deliver() scratch: runs of one client's ops in block order.
+  struct ReplyRun {
+    ClientId client;
+    std::uint32_t begin;
+    std::uint32_t end;
+    auto operator<=>(const ReplyRun&) const = default;
+  };
+  std::vector<ReplyRun> reply_runs_;
   std::uint64_t checkpoints_run_ = 0;
   std::uint64_t restarts_ = 0;
   WindowedCounter committed_ops_;

@@ -5,8 +5,12 @@
 // message injection.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <set>
+#include <utility>
 
+#include "common/rng.h"
 #include "consensus/txpool.h"
 #include "protocol_harness.h"
 
@@ -900,6 +904,192 @@ TEST(TxPool, DedupHoldsUnderChurnAndExtremeIds) {
   // A drained op is no longer pooled: it can be pooled again.
   pool.add(op_of(kMaxClient, kMaxRequest));
   EXPECT_EQ(pool.pending(), 1u);
+}
+
+TEST(TxPool, RequestIdsPast40BitsDoNotAliasOtherClients) {
+  // (client, request) is the dedup key as a pair: a request id of 2^40 or
+  // more must not collide with another client's small id.
+  TxPool pool;
+  pool.add(op_of(0, RequestId{1} << 40 | 5));
+  pool.add(op_of(1, 5));
+  EXPECT_EQ(pool.pending(), 2u);
+  pool.mark_committed(op_of(0, 5));
+  EXPECT_FALSE(pool.executed(1, 5));
+  const auto batch = pool.next_batch(10);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].client, 0u);
+  EXPECT_EQ(batch[1].client, 1u);
+}
+
+/// TxPool's contract written plainly: an ordered set of pooled (client,
+/// request) pairs, a FIFO queue and a per-client executed watermark.
+class ReferencePool {
+ public:
+  using Key = std::pair<ClientId, RequestId>;
+
+  void add(ClientId c, RequestId r, TimePoint at) {
+    if (pooled_.contains({c, r}) || executed(c, r)) return;
+    pooled_.insert({c, r});
+    queue_.push_back({{c, r}, at});
+  }
+
+  std::vector<Key> next_batch(std::size_t max_ops) {
+    std::vector<Key> batch;
+    while (batch.size() < max_ops && !queue_.empty()) {
+      const auto [key, at] = queue_.front();
+      queue_.pop_front();
+      pooled_.erase(key);
+      if (executed(key.first, key.second)) continue;
+      if (batch.empty()) oldest_ = at;
+      batch.push_back(key);
+    }
+    return batch;
+  }
+
+  void mark_committed(ClientId c, RequestId r) {
+    auto [it, inserted] = watermark_.try_emplace(c, r);
+    if (!inserted) it->second = std::max(it->second, r);
+  }
+
+  bool executed(ClientId c, RequestId r) const {
+    auto it = watermark_.find(c);
+    return it != watermark_.end() && r <= it->second;
+  }
+
+  std::size_t pending() {
+    while (!queue_.empty() &&
+           executed(queue_.front().first.first, queue_.front().first.second)) {
+      pooled_.erase(queue_.front().first);
+      queue_.pop_front();
+    }
+    return queue_.size();
+  }
+
+  std::vector<Key> contents() const {
+    std::vector<Key> out;
+    for (const auto& [key, at] : queue_) out.push_back(key);
+    return out;
+  }
+
+  TimePoint oldest() const { return oldest_; }
+
+ private:
+  std::set<Key> pooled_;
+  std::deque<std::pair<Key, TimePoint>> queue_;
+  std::map<ClientId, RequestId> watermark_;
+  TimePoint oldest_;
+};
+
+std::vector<ReferencePool::Key> keys_of(
+    const std::vector<types::Operation>& ops) {
+  std::vector<ReferencePool::Key> keys;
+  for (const types::Operation& op : ops) keys.emplace_back(op.client, op.request);
+  return keys;
+}
+
+std::vector<ReferencePool::Key> contents_of(const TxPool& pool) {
+  std::vector<ReferencePool::Key> keys;
+  pool.for_each([&](const types::Operation& op) {
+    keys.emplace_back(op.client, op.request);
+  });
+  return keys;
+}
+
+TEST(TxPool, MatchesReferenceModelUnderRandomTraffic) {
+  // Clients at the ends of the id space, and request ids starting at 0,
+  // at 2^40 and near 2^64, so packed or offset keys would collide.
+  const std::vector<ClientId> clients = {0, 1, 2, 1u << 24, ~ClientId{0}};
+  const std::vector<RequestId> bases = {0, 1, RequestId{1} << 40, 7,
+                                        ~RequestId{0} - (1u << 20)};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    TxPool pool;
+    ReferencePool ref;
+    std::vector<RequestId> next(bases);  // next fresh id per client
+    for (int step = 0; step < 20000; ++step) {
+      const std::size_t ci = rng.next_below(clients.size());
+      const ClientId c = clients[ci];
+      // Any id this client has used so far (or the next one).
+      const RequestId used = bases[ci] + rng.next_below(next[ci] - bases[ci] + 1);
+      const TimePoint at = TimePoint::from_nanos(step);
+      const std::uint64_t roll = rng.next_below(100);
+      if (roll < 40) {
+        // A fresh request, or a short burst of them.
+        const std::uint64_t burst = 1 + rng.next_below(8);
+        for (std::uint64_t i = 0; i < burst; ++i) {
+          pool.add(op_of(c, next[ci], 0), at);
+          ref.add(c, next[ci], at);
+          ++next[ci];
+        }
+      } else if (roll < 60) {
+        // Duplicate while pooled, retransmit after pop, or stale.
+        pool.add(op_of(c, used, 0), at);
+        ref.add(c, used, at);
+      } else if (roll < 68) {
+        pool.mark_committed(op_of(c, used, 0));
+        ref.mark_committed(c, used);
+      } else if (roll < 80) {
+        const std::size_t max_ops = rng.next_below(40);
+        const auto got = keys_of(pool.next_batch(max_ops));
+        ASSERT_EQ(got, ref.next_batch(max_ops))
+            << "seed " << seed << " step " << step;
+        if (!got.empty()) {
+          ASSERT_EQ(pool.last_batch_oldest_enqueue(), ref.oldest());
+        }
+      } else if (roll < 90) {
+        ASSERT_EQ(pool.pending(), ref.pending())
+            << "seed " << seed << " step " << step;
+      } else if (roll < 97) {
+        ASSERT_EQ(pool.executed(c, used), ref.executed(c, used));
+      } else {
+        ASSERT_EQ(contents_of(pool), ref.contents())
+            << "seed " << seed << " step " << step;
+      }
+    }
+    ASSERT_EQ(pool.pending(), ref.pending());
+    ASSERT_EQ(keys_of(pool.next_batch(~std::size_t{0})),
+              ref.next_batch(~std::size_t{0}));
+  }
+}
+
+TEST(TxPool, AdversarialArrivalOrdersStayExactAndFast) {
+  // Descending, alternating and strided arrivals defeat any in-order fast
+  // path. At 2^19 ids per order a path quadratic in the pooled ids runs
+  // ~10^11 steps per order and cannot finish inside the test timeout.
+  constexpr RequestId kIds = RequestId{1} << 19;
+  const RequestId top = ~RequestId{0};
+  std::vector<std::vector<RequestId>> orders(3);
+  for (RequestId i = 0; i < kIds; ++i) {
+    orders[0].push_back(top - i);  // descending from the largest id
+    orders[1].push_back(i % 2 == 0 ? i / 2 : top - i / 2);  // low, high, ...
+    orders[2].push_back((i * 7919) % kIds);  // strided permutation
+  }
+  for (std::size_t o = 0; o < orders.size(); ++o) {
+    TxPool pool;
+    ReferencePool ref;
+    const ClientId c = static_cast<ClientId>(o);
+    for (RequestId r : orders[o]) {
+      pool.add(op_of(c, r, 0));
+      ref.add(c, r, TimePoint::origin());
+    }
+    for (std::size_t i = 0; i < orders[o].size(); i += 3) {
+      pool.add(op_of(c, orders[o][i], 0));  // duplicates while pooled
+    }
+    ASSERT_EQ(pool.pending(), kIds) << "order " << o;
+    // Drain half, retransmit everything, commit the median id.
+    const std::size_t half = kIds / 2;
+    ASSERT_EQ(keys_of(pool.next_batch(half)), ref.next_batch(half));
+    for (RequestId r : orders[o]) {
+      pool.add(op_of(c, r, 0));
+      ref.add(c, r, TimePoint::origin());
+    }
+    pool.mark_committed(op_of(c, orders[o][half]));
+    ref.mark_committed(c, orders[o][half]);
+    ASSERT_EQ(pool.pending(), ref.pending()) << "order " << o;
+    ASSERT_EQ(keys_of(pool.next_batch(kIds * 2)), ref.next_batch(kIds * 2))
+        << "order " << o;
+    EXPECT_TRUE(pool.empty());
+  }
 }
 
 TEST(VoteCollector, EmitsExactlyOnceAtThreshold) {

@@ -121,6 +121,39 @@ TEST(ClientRetransmit, NoRetransmissionsOnHealthyNetwork) {
 }
 
 // ---------------------------------------------------------------------------
+// Transaction pools
+// ---------------------------------------------------------------------------
+
+TEST(TxPoolBound, FollowerPoolsStayWithinClientWindows) {
+  // Every client keeps at most `window` requests outstanding, and every
+  // replica purges committed ops at commit, so no pool (leader or
+  // follower) ever holds more raw entries than clients × window.
+  ClusterConfig cfg;
+  cfg.f = 1;
+  cfg.clients.count = 4;
+  cfg.clients.window = 8;
+  cfg.seed = 14;
+  sim::Simulator sim(cfg.seed);
+  Cluster cluster(sim, cfg);
+  cluster.start();
+  const std::size_t bound = cfg.clients.count * cfg.clients.window;
+  std::size_t peak = 0;
+  for (int step = 0; step < 60000; ++step) {
+    sim.run_for(Duration::millis(1));
+    for (ReplicaId r = 0; r < cluster.n(); ++r) {
+      std::size_t raw = 0;
+      cluster.replica(r).protocol().pool().for_each(
+          [&](const types::Operation&) { ++raw; });
+      peak = std::max(peak, raw);
+    }
+    if (cluster.replica(0).protocol().committed_height() >= 300) break;
+  }
+  EXPECT_GE(cluster.replica(0).protocol().committed_height(), 300u);
+  EXPECT_LE(peak, bound);
+  EXPECT_GT(peak, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Block fetch / catch-up
 // ---------------------------------------------------------------------------
 
