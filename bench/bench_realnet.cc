@@ -10,9 +10,10 @@
 //
 // Prints one row per (n, backend) — throughput, latency percentiles, and
 // getrusage CPU/context-switch deltas — and writes the comparison as JSON
-// (schema marlin/realnet/v2); the repo pins a representative run as
-// BENCH_realnet.json. Wall-clock metal numbers are machine-dependent, so
-// CI only smoke-runs --quick and checks that the artifact is written.
+// (schema marlin/realnet/v2, with the producing host's core count); the
+// repo pins a representative run as BENCH_realnet.json. Wall-clock metal
+// numbers are machine-dependent, so CI only smoke-runs --quick and checks
+// that the artifact is written.
 //
 //   bench_realnet                      # full sweep, n = 4, 7, 10, 19
 //   bench_realnet --quick              # short windows, n = 4 only
@@ -221,6 +222,9 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) {
     std::string json = "{\"schema\":\"marlin/realnet/v2\",\"quick\":";
     json += quick ? "true" : "false";
+    // Same key as BENCH_scaling.json: which host produced the artifact.
+    json += ",\"hardware_concurrency\":" +
+            std::to_string(std::thread::hardware_concurrency());
     json +=
         ",\n \"workload\":{\"clients\":4,\"window\":16,\"payload\":150,"
         "\"sim_one_way_us\":50,\"warmup_s\":" +

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace marlin::json {
@@ -108,6 +109,8 @@ class Parser {
           default:
             return fail("unsupported escape");
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        return fail("unescaped control character in string");
       } else {
         out += c;
       }
@@ -178,6 +181,26 @@ std::string get_str(const Object& o, const std::string& key,
 const Object* get_object(const Object& o, const std::string& key) {
   auto it = o.find(key);
   return it == o.end() ? nullptr : it->second.object();
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 }  // namespace marlin::json

@@ -2,7 +2,8 @@
 // schemas this repo reads back (fault plans, cluster configs, pinned bench
 // baselines): objects, arrays, strings, numbers, true/false/null. The repo
 // intentionally has no general JSON dependency; writers emit JSON by hand
-// (obs/export, FaultPlan::to_json) and readers parse with this.
+// (obs/export, FaultPlan::to_json) with append_escaped below, and readers
+// parse with this.
 #pragma once
 
 #include <map>
@@ -41,5 +42,12 @@ bool get_bool(const Object& o, const std::string& key, bool fallback);
 std::string get_str(const Object& o, const std::string& key,
                     const std::string& fallback);
 const Object* get_object(const Object& o, const std::string& key);
+
+// -- writing -----------------------------------------------------------------
+
+/// Appends `s` escaped for use inside a JSON string literal (the quotes are
+/// the caller's): `"` and `\`, `\n` `\t` `\r`, and every other control
+/// character as `\u00XX` — the one escaper every hand-written writer uses.
+void append_escaped(std::string& out, std::string_view s);
 
 }  // namespace marlin::json

@@ -1,16 +1,20 @@
 // Backend-neutral scheduling surface. ProtocolEnv implementations, the
 // network model, the virtual-CPU processor, and fault/telemetry plumbing
 // all need "what time is it" plus "run this later (maybe cancellable)" —
-// and nothing else. Scheduler is that contract, implemented by:
-//  - sim::Simulator            (legacy single-queue discrete-event engine)
-//  - sim::ShardedSimulator     (per-shard clocks, lookahead windows)
-//  - realnet::TimerWheel       (hashed wheel driven by an epoll EventLoop)
+// and nothing else. Scheduler is that contract. One event-queue core
+// (common/event_queue.h: an EventHeap plus a TimerSlab) sits under three
+// thin implementations, each with its own clock and strict event order:
+//  - sim::Simulator            (one global queue, (when, seq) order)
+//  - sim::ShardedSimulator     (a queue per shard, (when, origin, oseq)
+//                               order, lookahead windows; via NodeScheduler)
+//  - realnet::TimerWheel       (metal timers, (deadline, seq) order, advanced
+//                               by an epoll EventLoop)
 // Callers hold a Scheduler& and stop naming the backend type, so the same
 // host code runs on one global clock, a shard-local clock, or wall time.
 //
-// Handles use the generation-counted-slab idiom every backend already
-// spoke (see simnet/simulator.h): cancel() on a fired/stale handle is a
-// no-op, detected via the slot's generation counter. A TimerHandle must
+// Handles are (slot, gen) pairs into the core's TimerSlab: cancel() on a
+// fired/stale handle is a no-op, detected via the slot's generation
+// counter, which bumps when the event leaves the queue. A TimerHandle must
 // not outlive its Scheduler.
 #pragma once
 

@@ -216,10 +216,10 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
 // Leader: vote collection
 // ---------------------------------------------------------------------------
 
-std::optional<Hash256> HotStuffReplica::preverify_vote_digest(
+std::optional<Hash256> HotStuffReplica::vote_digest_of(
     const types::VoteMsg& msg) const {
-  // Mirrors on_vote's digest derivation (same early-outs: votes the
-  // handler discards unverified plan no work).
+  // Votes on_vote discards unverified have no digest, so the preverify
+  // hook plans no work for them either.
   if (msg.view != cview_ || leader_of(msg.view) != config_.id) {
     return std::nullopt;
   }
@@ -229,23 +229,20 @@ std::optional<Hash256> HotStuffReplica::preverify_vote_digest(
                     b->height, b->parent_view);
 }
 
-std::optional<Hash256> HotStuffReplica::preverify_view_change_digest(
+std::optional<Hash256> HotStuffReplica::view_change_digest_of(
     const types::ViewChangeMsg& msg) const {
   if (msg.view < cview_) return std::nullopt;
+  // HotStuff has no virtual blocks: the flag is signed as false.
   const BlockRef& lb = msg.last_voted;
   return types::vote_digest(kDomain, QcType::kPrepare, msg.view, lb.hash,
                             lb.view, lb.height, lb.pview, false);
 }
 
 void HotStuffReplica::on_vote(ReplicaId from, types::VoteMsg msg) {
-  if (msg.view != cview_ || leader_of(msg.view) != config_.id) return;
+  const std::optional<Hash256> digest = vote_digest_of(msg);
+  if (!digest || !verify_partial(msg.parsig, *digest)) return;
   const Block* b = store_.get(msg.block_hash);
-  if (!b) return;
-
   const QcType type = qc_type_of(msg.phase);
-  const Hash256 digest = digest_for(type, msg.block_hash, b->view, b->height,
-                                    b->parent_view);
-  if (!verify_partial(msg.parsig, digest)) return;
   trace({.type = obs::EventType::kVoteReceived,
          .phase = static_cast<std::uint8_t>(msg.phase),
          .height = b->height,
@@ -425,13 +422,9 @@ void HotStuffReplica::enter_view(ViewNumber v, bool send_new_view) {
 
 void HotStuffReplica::on_view_change(ReplicaId from,
                                      types::ViewChangeMsg msg) {
-  if (msg.view < cview_) return;
-  const BlockRef& lb = msg.last_voted;
-  const Hash256 digest =
-      types::vote_digest(kDomain, QcType::kPrepare, msg.view, lb.hash,
-                         lb.view, lb.height, lb.pview, false);
-  if (msg.parsig.signer != from) return;
-  if (!verify_partial(msg.parsig, digest)) return;
+  const std::optional<Hash256> digest = view_change_digest_of(msg);
+  if (!digest || msg.parsig.signer != from) return;
+  if (!verify_partial(msg.parsig, *digest)) return;
   if (!msg.high_qc.qc || msg.high_qc.vc) return;
   if (msg.high_qc.qc->type != QcType::kPrepare) return;
   if (!verify_qc(*msg.high_qc.qc)) return;

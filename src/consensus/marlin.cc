@@ -385,39 +385,34 @@ void MarlinReplica::handle_prepare_notice(ReplicaId from,
 // Votes — leader side
 // ---------------------------------------------------------------------------
 
-std::optional<Hash256> MarlinReplica::preverify_vote_digest(
+std::optional<Hash256> MarlinReplica::vote_digest_of(
     const types::VoteMsg& msg) const {
-  // Mirrors on_vote's digest derivation (same early-outs: votes the
-  // handler discards unverified plan no work).
+  // Votes on_vote discards unverified have no digest, so the preverify
+  // hook plans no work for them either.
   if (msg.view != cview_ || leader_of(msg.view) != config_.id) {
     return std::nullopt;
   }
   const Block* b = store_.get(msg.block_hash);
-  if (!b) return std::nullopt;
+  if (!b) return std::nullopt;  // we only count votes for blocks we stored
   return types::vote_digest(kDomain, qc_type_of(msg.phase), cview_,
                             msg.block_hash, b->view, b->height,
                             b->parent_view, b->virtual_block);
 }
 
-std::optional<Hash256> MarlinReplica::preverify_view_change_digest(
+std::optional<Hash256> MarlinReplica::view_change_digest_of(
     const types::ViewChangeMsg& msg) const {
   if (msg.view < cview_) return std::nullopt;
+  // The parsig signs the happy-path digest of lb at view v.
   const BlockRef& lb = msg.last_voted;
   return types::vote_digest(kDomain, QcType::kPrepare, msg.view, lb.hash,
                             lb.view, lb.height, lb.pview, lb.virtual_block);
 }
 
 void MarlinReplica::on_vote(ReplicaId from, types::VoteMsg msg) {
-  if (msg.view != cview_ || leader_of(msg.view) != config_.id) return;
-
+  const std::optional<Hash256> digest = vote_digest_of(msg);
+  if (!digest || !verify_partial(msg.parsig, *digest)) return;
   const Block* b = store_.get(msg.block_hash);
-  if (!b) return;  // we only count votes for blocks we proposed/stored
-
   const QcType type = qc_type_of(msg.phase);
-  const Hash256 digest =
-      types::vote_digest(kDomain, type, cview_, msg.block_hash, b->view,
-                         b->height, b->parent_view, b->virtual_block);
-  if (!verify_partial(msg.parsig, digest)) return;
   trace({.type = obs::EventType::kVoteReceived,
          .phase = static_cast<std::uint8_t>(msg.phase),
          .height = b->height,
@@ -551,15 +546,9 @@ bool MarlinReplica::validate_justify(const Justify& j) {
 }
 
 void MarlinReplica::on_view_change(ReplicaId from, types::ViewChangeMsg msg) {
-  if (msg.view < cview_) return;
-
-  // Authenticate: the parsig signs the happy-path digest of lb at view v.
-  const BlockRef& lb = msg.last_voted;
-  const Hash256 digest =
-      types::vote_digest(kDomain, QcType::kPrepare, msg.view, lb.hash,
-                         lb.view, lb.height, lb.pview, lb.virtual_block);
-  if (msg.parsig.signer != from) return;
-  if (!verify_partial(msg.parsig, digest)) return;
+  const std::optional<Hash256> digest = view_change_digest_of(msg);
+  if (!digest || msg.parsig.signer != from) return;
+  if (!verify_partial(msg.parsig, *digest)) return;
   if (!validate_justify(msg.high_qc)) return;
 
   VcState& st = vc_[msg.view];

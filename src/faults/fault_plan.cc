@@ -187,25 +187,6 @@ std::vector<ReplicaId> FaultPlan::crashed_at_end() const {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// Durations are written as whole milliseconds when exact, nanoseconds
 /// otherwise, so any plan round-trips losslessly while hand-written plans
 /// stay in human units.
@@ -249,7 +230,7 @@ void append_id_list(std::string& out, const std::vector<ReplicaId>& ids) {
 
 std::string FaultPlan::to_json() const {
   std::string out = "{\n  \"name\": \"";
-  append_escaped(out, name);
+  json::append_escaped(out, name);
   out += "\",\n  \"actions\": [";
   for (std::size_t i = 0; i < actions.size(); ++i) {
     const FaultAction& a = actions[i];

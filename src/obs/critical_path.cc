@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/export.h"
+
 namespace marlin::obs {
 
 namespace {
@@ -16,13 +18,6 @@ constexpr std::uint8_t kKindQcNotice = 5;
 // types::Phase wire value for PRECOMMIT — present only in HotStuff's
 // three-phase pipeline, which is how the analyzer tells the shapes apart.
 constexpr std::uint8_t kPhasePreCommit = 2;
-
-std::string fmt_hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 double ms(Duration d) { return d.as_millis_f(); }
 double ns_to_ms(double ns) { return ns / 1e6; }

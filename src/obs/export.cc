@@ -9,6 +9,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace marlin::obs {
 
 namespace {
@@ -19,25 +21,6 @@ std::string fmt_f(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   return buf;
-}
-
-std::string fmt_hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-// Metric names and labels are code-controlled identifiers ("a.b{k=v}"),
-// but escape the two JSON-breaking characters anyway.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 void append_latency_json(std::string& out, const LatencyHistogram& h) {
@@ -62,7 +45,22 @@ void append_sizes_json(std::string& out, const ValueHistogram& h) {
   out += "}";
 }
 
+// Metric names and labels are code-controlled ("a.b{k=v}"), but a label
+// value may carry any byte, so keys go through the full JSON escaper.
+void append_key(std::string& out, const MetricKey& key) {
+  out += "    \"";
+  json::append_escaped(out, key.to_string());
+  out += "\": ";
+}
+
 }  // namespace
+
+std::string fmt_hex64(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
 
 std::string event_to_json(const TraceEvent& e) {
   // Every field is always emitted, in a fixed order, so consumers can use
@@ -185,8 +183,8 @@ std::string metrics_to_json(const MetricsRegistry& reg) {
   for (const auto& [key, value] : reg.counters()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(key.to_string()) +
-           "\": " + std::to_string(value);
+    append_key(out, key);
+    out += std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -195,7 +193,8 @@ std::string metrics_to_json(const MetricsRegistry& reg) {
   for (const auto& [key, value] : reg.gauges()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(key.to_string()) + "\": " + fmt_f(value);
+    append_key(out, key);
+    out += fmt_f(value);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -204,7 +203,7 @@ std::string metrics_to_json(const MetricsRegistry& reg) {
   for (const auto& [key, hist] : reg.latencies()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(key.to_string()) + "\": ";
+    append_key(out, key);
     append_latency_json(out, hist);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -214,7 +213,7 @@ std::string metrics_to_json(const MetricsRegistry& reg) {
   for (const auto& [key, hist] : reg.size_histograms()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(key.to_string()) + "\": ";
+    append_key(out, key);
     append_sizes_json(out, hist);
   }
   out += first ? "}\n" : "\n  }\n";

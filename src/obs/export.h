@@ -6,6 +6,7 @@
 // ordered-map iteration — identical runs export identical bytes.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -45,6 +46,10 @@ std::string metrics_to_csv(const MetricsRegistry& reg);
 /// per view, the span, leader traffic, phase milestones, and commits.
 void print_view_timeline(const std::vector<TraceEvent>& events,
                          std::ostream& out);
+
+/// A 64-bit id (trace block ids) as 16 lowercase hex digits — the one
+/// spelling every export and report prints.
+std::string fmt_hex64(std::uint64_t v);
 
 /// Writes `content` to `path`; returns false (and leaves a best-effort
 /// partial file) on I/O failure.

@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 
+#include "obs/export.h"
+
 namespace marlin::obs {
 
 namespace {
@@ -13,13 +15,6 @@ namespace {
 // (obs stays below the types layer, so mirror the constants here; simnet's
 // kind table is the authority).
 constexpr std::uint8_t kKindProposal = 3;
-
-std::string fmt_hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 std::string fmt_us(TimePoint t) {
   char buf[64];

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/json.h"
 #include "common/wire_codec.h"
 
 namespace marlin::obs {
@@ -85,36 +86,6 @@ void emit_families(std::string& out, const Map& map, const char* type,
       prev_name = &key.name;
     }
     emit(key, value);
-  }
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
   }
 }
 
@@ -220,7 +191,7 @@ std::string metrics_series_line(double t_seconds, const MetricsRegistry& reg) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
-    append_json_escaped(out, key.to_string());
+    json::append_escaped(out, key.to_string());
     out += "\":" + std::to_string(v);
   }
   out += "},\"gauges\":{";
@@ -229,7 +200,7 @@ std::string metrics_series_line(double t_seconds, const MetricsRegistry& reg) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
-    append_json_escaped(out, key.to_string());
+    json::append_escaped(out, key.to_string());
     out += "\":" + fmt_double(v);
   }
   out += "},\"latency_ms\":{";
@@ -238,7 +209,7 @@ std::string metrics_series_line(double t_seconds, const MetricsRegistry& reg) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
-    append_json_escaped(out, key.to_string());
+    json::append_escaped(out, key.to_string());
     out += "\":{\"count\":" + std::to_string(h.count()) +
            ",\"mean\":" + fmt_double(ms(h.mean())) +
            ",\"p50\":" + fmt_double(ms(h.percentile(50))) +
@@ -252,7 +223,7 @@ std::string metrics_series_line(double t_seconds, const MetricsRegistry& reg) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
-    append_json_escaped(out, key.to_string());
+    json::append_escaped(out, key.to_string());
     out += "\":{\"count\":" + std::to_string(h.count()) +
            ",\"mean\":" + fmt_double(h.mean()) +
            ",\"p50\":" + fmt_double(h.percentile(50)) +

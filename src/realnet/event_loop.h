@@ -1,4 +1,4 @@
-// Single-threaded epoll reactor: fd readiness, a monotonic timer wheel,
+// Single-threaded epoll reactor: fd readiness, monotonic timers,
 // and a thread-safe post() queue (eventfd wakeup). Each replica/client
 // host owns one EventLoop on its own thread; everything that host does —
 // consensus callbacks, timers, socket I/O — runs on that loop thread, so
@@ -49,12 +49,12 @@ class EventLoop {
   TimerHandle schedule(Duration delay, EventFn fn) {
     return wheel_.schedule_at(mono_now() + delay, std::move(fn));
   }
-  /// Fire-and-forget (drops the handle; mirrors Simulator::post).
+  /// Fire-and-forget (no handle, no slab slot; mirrors Simulator::post).
   void post_after(Duration delay, EventFn fn) {
-    wheel_.schedule_at(mono_now() + delay, std::move(fn));
+    wheel_.post_at(mono_now() + delay, std::move(fn));
   }
 
-  /// The loop's timers as a backend-neutral Scheduler (the wheel): lets
+  /// The loop's timers as a backend-neutral Scheduler: lets
   /// hosts written against marlin::Scheduler& run on the real transport.
   marlin::Scheduler& scheduler() { return wheel_; }
 

@@ -1,88 +1,45 @@
 #include "realnet/timer_wheel.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 namespace marlin::realnet {
 
-std::uint32_t TimerWheel::alloc_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  slots_.push_back(Slot{});
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+void TimerWheel::push(TimePoint when, std::uint32_t slot, EventFn fn) {
+  queue_.push(Timer{std::max(when, last_advance_), next_seq_++, slot,
+                    std::move(fn)});
 }
 
 TimerHandle TimerWheel::schedule_at(TimePoint when, EventFn fn) {
-  if (when < last_advance_) when = last_advance_;
-  const std::uint32_t slot = alloc_slot();
-  Slot& s = slots_[slot];
-  ++s.gen;  // invalidate any stale handle still pointing at this slot
-  s.pending = true;
-  s.cancelled = false;
-  buckets_[bucket_of(when)].push_back(Entry{when, slot, std::move(fn)});
-  ++pending_;
-  return make_handle(slot, s.gen);
+  const std::uint32_t slot = slots_.acquire();
+  push(when, slot, std::move(fn));
+  return make_handle(slot, slots_.gen(slot));
 }
 
 void TimerWheel::advance(TimePoint now) {
   if (now < last_advance_) now = last_advance_;
-  // Walk every tick between the previous advance and now so a bucket is
-  // never skipped over a whole rotation; cap the walk at one full rotation
-  // (beyond that every bucket has been visited once anyway).
-  const std::int64_t from_tick = last_advance_.as_nanos() / kTickNanos;
-  const std::int64_t to_tick = now.as_nanos() / kTickNanos;
-  const std::int64_t span = std::min<std::int64_t>(
-      to_tick - from_tick, static_cast<std::int64_t>(kBuckets) - 1);
   last_advance_ = now;
-
-  for (std::int64_t t = 0; t <= span; ++t) {
-    auto& bucket =
-        buckets_[static_cast<std::size_t>(from_tick + t) % kBuckets];
-    if (bucket.empty()) continue;
-    // Collect due entries first: callbacks may add timers into this very
-    // bucket, and those must not fire in the same pass.
-    std::vector<Entry> due;
-    for (std::size_t i = 0; i < bucket.size();) {
-      if (bucket[i].deadline <= now) {
-        due.push_back(std::move(bucket[i]));
-        bucket[i] = std::move(bucket.back());
-        bucket.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    std::sort(due.begin(), due.end(), [](const Entry& a, const Entry& b) {
-      return a.deadline < b.deadline;
-    });
-    for (Entry& e : due) {
-      Slot& s = slots_[e.slot];
-      const bool run = s.pending && !s.cancelled;
-      s.pending = false;
-      s.cancelled = false;
-      free_slots_.push_back(e.slot);
-      --pending_;
-      if (run) {
-        ++fired_;
-        if (drift_hist_ != nullptr) drift_hist_->record(now - e.deadline);
-        e.fn();
-      }
-    }
+  // Collect the due set before running any callback: a timer a callback
+  // arms, even one already past due, waits for the next advance.
+  std::vector<Timer> due;
+  for (slots_.reap(queue_); !queue_.empty() && queue_.top().deadline <= now;
+       slots_.reap(queue_)) {
+    due.push_back(queue_.pop());
+  }
+  for (Timer& t : due) {
+    // A callback earlier in this pass may have cancelled `t`.
+    if (!slots_.release(t.slot)) continue;
+    ++fired_;
+    if (drift_hist_ != nullptr) drift_hist_->record(now - t.deadline);
+    t.fn();
   }
 }
 
-std::int64_t TimerWheel::next_timeout_ns(TimePoint now) const {
-  if (pending_ == 0) return -1;
-  std::int64_t best = -1;
-  for (const auto& bucket : buckets_) {
-    for (const Entry& e : bucket) {
-      if (slots_[e.slot].cancelled) continue;
-      const std::int64_t d = (e.deadline - now).as_nanos();
-      if (best < 0 || d < best) best = d;
-    }
-  }
-  return best < 0 ? -1 : std::max<std::int64_t>(best, 0);
+std::int64_t TimerWheel::next_timeout_ns(TimePoint now) {
+  slots_.reap(queue_);
+  if (queue_.empty()) return -1;
+  return std::max<std::int64_t>((queue_.top().deadline - now).as_nanos(), 0);
 }
 
 }  // namespace marlin::realnet

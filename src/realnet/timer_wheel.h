@@ -1,16 +1,20 @@
-// Hashed timing wheel driving the pacemaker and reconnect backoff on the
-// real runtime. It is the realnet implementation of marlin::Scheduler
-// (common/scheduler.h): same schedule_at + generation-counted cancellation
-// protocol as the simulated engines, so host code written against
-// Scheduler& runs on either transport. Single-threaded: owned and advanced
-// by one EventLoop; now() is the time of the last advance (the loop
-// advances every iteration, so it trails the monotonic clock by at most
-// one epoll wait).
+// The metal timers driving the pacemaker and reconnect backoff on the real
+// runtime: the realnet user of the shared event-queue core
+// (common/event_queue.h) that sim::Simulator and the sharded engine's
+// shards also run on — one EventHeap ordered by (deadline, seq) and one
+// TimerSlab for cancellable timers. It implements marlin::Scheduler
+// (common/scheduler.h) with the same post/schedule_at and (slot, gen)
+// cancellation protocol as the simulated engines, so host code written
+// against Scheduler& runs on either transport. Single-threaded: owned and
+// advanced by one EventLoop; now() is the time of the last advance (the
+// loop advances every iteration, so it trails the monotonic clock by at
+// most one epoll wait). The class name is historical: the timers are a
+// heap, not a hashed wheel.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "common/event_queue.h"
 #include "common/histogram.h"
 #include "common/scheduler.h"
 #include "common/sim_time.h"
@@ -23,12 +27,6 @@ using TimerHandle = marlin::TimerHandle;
 
 class TimerWheel final : public marlin::Scheduler {
  public:
-  /// 1 ms ticks, 1024 buckets (~1 s per rotation): pacemaker timeouts are
-  /// hundreds of ms, reconnect backoff seconds — both a handful of
-  /// rotations at most.
-  static constexpr std::int64_t kTickNanos = 1'000'000;
-  static constexpr std::size_t kBuckets = 1024;
-
   /// Time of the last advance() — the loop iteration's timestamp.
   TimePoint now() const override { return last_advance_; }
 
@@ -36,19 +34,23 @@ class TimerWheel final : public marlin::Scheduler {
   /// deadlines: they fire on the next advance, never synchronously).
   TimerHandle schedule_at(TimePoint when, EventFn fn) override;
 
-  /// Fire-and-forget (still consumes a wheel slot; the wheel has no
-  /// handle-free fast path, timers here are rare and coarse).
-  void post_at(TimePoint when, EventFn fn) override { schedule_at(when, std::move(fn)); }
+  /// Fire-and-forget: same clamp, no slab slot.
+  void post_at(TimePoint when, EventFn fn) override {
+    push(when, TimerSlab::kNoSlot, std::move(fn));
+  }
 
-  /// Fires every pending timer with deadline <= now, in deadline order
-  /// within a bucket. Callbacks may schedule/cancel freely.
+  /// Fires every pending timer with deadline <= now, in (deadline, seq)
+  /// order. The due set is collected before any callback runs, so a timer
+  /// a callback arms — even one already past due — waits for the next
+  /// advance. Callbacks may schedule/cancel freely.
   void advance(TimePoint now);
 
   /// Nanoseconds until the earliest pending deadline, clamped to >= 0;
-  /// -1 when no timers are pending (epoll_wait's "block forever").
-  std::int64_t next_timeout_ns(TimePoint now) const;
+  /// -1 when no timers are pending (epoll_wait's "block forever"). Reaps
+  /// cancelled timers off the head, then reads it.
+  std::int64_t next_timeout_ns(TimePoint now);
 
-  std::size_t pending() const { return pending_; }
+  std::size_t pending() const { return queue_.size(); }
 
   // -- instrumentation -------------------------------------------------------
   /// Total timers fired (cancelled entries excluded).
@@ -61,42 +63,30 @@ class TimerWheel final : public marlin::Scheduler {
 
  protected:
   void cancel_timer(std::uint32_t slot, std::uint32_t gen) override {
-    if (slot >= slots_.size()) return;
-    Slot& s = slots_[slot];
-    if (s.gen == gen && s.pending) s.cancelled = true;
+    slots_.cancel(slot, gen);
   }
   bool timer_active(std::uint32_t slot, std::uint32_t gen) const override {
-    if (slot >= slots_.size()) return false;
-    const Slot& s = slots_[slot];
-    return s.gen == gen && s.pending && !s.cancelled;
+    return slots_.active(slot, gen);
   }
 
  private:
-  struct Entry {
+  struct Timer {
     TimePoint deadline;
-    std::uint32_t slot;  // slab index for cancellation
+    std::uint64_t seq;   // tie-break: FIFO among same-deadline timers
+    std::uint32_t slot;  // TimerSlab::kNoSlot for post()ed timers
     EventFn fn;
+
+    static bool earlier(const Timer& a, const Timer& b) {
+      if (a.deadline != b.deadline) return a.deadline < b.deadline;
+      return a.seq < b.seq;
+    }
   };
 
-  struct Slot {
-    std::uint32_t gen = 0;
-    bool pending = false;
-    bool cancelled = false;
-  };
+  void push(TimePoint when, std::uint32_t slot, EventFn fn);
 
-  static std::size_t bucket_of(TimePoint t) {
-    return static_cast<std::size_t>(
-               static_cast<std::uint64_t>(t.as_nanos()) /
-               static_cast<std::uint64_t>(kTickNanos)) %
-           kBuckets;
-  }
-
-  std::uint32_t alloc_slot();
-
-  std::vector<Entry> buckets_[kBuckets];
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t pending_ = 0;
+  EventHeap<Timer> queue_;
+  TimerSlab slots_;
+  std::uint64_t next_seq_ = 0;
   TimePoint last_advance_;
   std::uint64_t fired_ = 0;
   LatencyHistogram* drift_hist_ = nullptr;

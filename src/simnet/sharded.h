@@ -1,7 +1,9 @@
 // Partitioned discrete-event engine for large clusters (n = 100..1000).
 // Replica/client nodes are assigned round-robin to K shards; each shard
-// owns a local event heap, cancellation slab, and clock, and the shards
-// advance in lock-step lookahead windows executed by a worker pool:
+// owns a clock and the event heap + cancellation slab of the shared core
+// (common/event_queue.h, also under sim::Simulator and the metal timers),
+// and the shards advance in lock-step lookahead windows executed by a
+// worker pool:
 //
 //   barrier T:  run control-lane events due <= T (faults, GST — shards
 //               quiescent, so they may mutate global network state), then
@@ -38,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/event_queue.h"
 #include "common/rng.h"
 #include "common/scheduler.h"
 #include "common/sim_time.h"
@@ -157,7 +160,6 @@ class ShardedSimulator {
  private:
   friend class NodeScheduler;
 
-  static constexpr std::uint32_t kNoSlot = ~0u;
   /// Origin id for events posted outside any node's execution (setup code,
   /// control-lane callbacks). Highest id: external ties run after node
   /// events at the same instant.
@@ -166,40 +168,31 @@ class ShardedSimulator {
   struct Event {
     TimePoint when;
     std::uint32_t origin;  // posting node (kExternalOrigin outside nodes)
-    std::uint32_t slot;    // cancellation slab index or kNoSlot
+    std::uint32_t slot;    // TimerSlab slot or TimerSlab::kNoSlot
     std::uint64_t oseq;    // per-origin sequence number
     NodeScheduler* exec;   // facade this event was posted through
     EventFn fn;
+
+    /// Strict (when, origin, oseq) order: unique, globally deterministic,
+    /// independent of which shard/worker inserted the event when.
+    static bool earlier(const Event& a, const Event& b) {
+      if (a.when != b.when) return a.when < b.when;
+      if (a.origin != b.origin) return a.origin < b.origin;
+      return a.oseq < b.oseq;
+    }
   };
 
-  struct Slot {
-    std::uint32_t gen = 0;
-    bool pending = false;
-    bool cancelled = false;
-  };
-
-  /// Strict (when, origin, oseq) order: unique, globally deterministic,
-  /// independent of which shard/worker inserted the event when.
-  static bool earlier(const Event& a, const Event& b) {
-    if (a.when != b.when) return a.when < b.when;
-    if (a.origin != b.origin) return a.origin < b.origin;
-    return a.oseq < b.oseq;
-  }
-
+  /// One shard: the shared queue core (common/event_queue.h), its clock,
+  /// and the inbox cross-shard posts wait in until the next barrier.
   struct Shard {
-    std::vector<Event> heap_;  // 4-ary min-heap, same shape as Simulator's
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> free_slots_;
+    EventHeap<Event> queue_;
+    TimerSlab slots_;
     TimePoint clock_;
     std::uint64_t executed_ = 0;
 
     std::mutex inbox_mu_;
     std::vector<Event> inbox_;  // cross-shard arrivals, merged at barriers
 
-    void push(Event ev);
-    Event pop();
-    std::uint32_t acquire_slot();
-    void release_slot(std::uint32_t slot);
     void drain_inbox();
   };
 

@@ -3,27 +3,24 @@
 // charging, protocol timers) is an event here, so whole cluster runs replay
 // bit-identically from a seed.
 //
-// The engine is allocation-lean by design (see docs/PERFORMANCE.md):
-//  - events live in a 4-ary min-heap over a plain vector, moved (never
-//    copied) during sifts, so pooled heap storage is reused across events;
-//  - callbacks are stored in a small-buffer-optimized EventFn, so typical
-//    captures need no heap allocation;
-//  - cancellation state is lazy: post()/post_at() events carry none at all,
-//    and schedule()/schedule_at() events borrow a slot from a generation-
-//    counted slab that is recycled when the event fires.
-// Ordering is the strict (when, seq) total order the golden traces pin;
-// post and schedule share one seq counter, so replacing the queue/handle
-// machinery cannot reorder anything.
+// Simulator is the single-queue user of the shared event-queue core
+// (common/event_queue.h): one EventHeap ordered by the strict (when, seq)
+// total order the golden traces pin, and one TimerSlab for schedule()d
+// events. post and schedule share the seq counter, so same-instant events
+// run in submission order whichever API queued them. The engine is
+// allocation-lean (see docs/PERFORMANCE.md): post()ed events carry no
+// cancellation state, and callbacks live in a small-buffer EventFn, so
+// steady-state posting allocates nothing.
 //
-// Simulator is the single-queue implementation of marlin::Scheduler
-// (common/scheduler.h); hosts written against Scheduler& run unchanged on
-// the sharded engine (simnet/sharded.h) and the realnet timer wheel.
+// The sharded engine (simnet/sharded.h) and the metal timers
+// (realnet/timer_wheel.h) drive the same core under their own orders;
+// hosts written against marlin::Scheduler& run unchanged on all three.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/event_fn.h"
+#include "common/event_queue.h"
 #include "common/rng.h"
 #include "common/scheduler.h"
 #include "common/sim_time.h"
@@ -52,7 +49,10 @@ class Simulator final : public marlin::Scheduler {
   /// Pre-sizes the event heap and cancellation slab so steady state never
   /// grows them in the hot loop. Sizing heuristic lives with the caller
   /// (Cluster knows n and fanout); extra calls only ever grow capacity.
-  void reserve(std::size_t events, std::size_t timers);
+  void reserve(std::size_t events, std::size_t timers) {
+    queue_.reserve(events);
+    slots_.reserve(timers);
+  }
 
   /// Runs the earliest pending event; returns false when the queue is empty.
   bool step();
@@ -66,58 +66,39 @@ class Simulator final : public marlin::Scheduler {
   void run(std::uint64_t max_events = ~0ull);
 
   std::uint64_t events_executed() const { return executed_; }
-  std::size_t pending_events() const { return heap_.size(); }
+  std::size_t pending_events() const { return queue_.size(); }
 
  protected:
   void cancel_timer(std::uint32_t slot, std::uint32_t gen) override {
-    Slot& s = slots_[slot];
-    if (s.gen == gen && s.pending) s.cancelled = true;
+    slots_.cancel(slot, gen);
   }
   bool timer_active(std::uint32_t slot, std::uint32_t gen) const override {
-    const Slot& s = slots_[slot];
-    return s.gen == gen && s.pending && !s.cancelled;
+    return slots_.active(slot, gen);
   }
 
  private:
-  static constexpr std::uint32_t kNoSlot = ~0u;
-
   struct Event {
     TimePoint when;
-    std::uint64_t seq;  // tie-break: FIFO among same-time events
-    std::uint32_t slot;  // kNoSlot for post()ed events
+    std::uint64_t seq;   // tie-break: FIFO among same-time events
+    std::uint32_t slot;  // TimerSlab::kNoSlot for post()ed events
     EventFn fn;
+
+    /// Strict (when, seq) order: both keys combined are unique.
+    static bool earlier(const Event& a, const Event& b) {
+      if (a.when != b.when) return a.when < b.when;
+      return a.seq < b.seq;
+    }
   };
 
-  /// Cancellation slab entry. `gen` bumps every time the slot is recycled,
-  /// invalidating stale TimerHandles without any per-handle allocation.
-  struct Slot {
-    std::uint32_t gen = 0;
-    bool pending = false;
-    bool cancelled = false;
-  };
-
-  /// Strict (when, seq) order — both keys combined are unique, so the heap
-  /// pop order is a total order independent of heap internals.
-  static bool earlier(const Event& a, const Event& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
-
-  void push_event(TimePoint when, std::uint32_t slot, EventFn fn);
-  Event pop_event();
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot);
-
-  bool slot_cancelled(const Event& ev) const {
-    return ev.slot != kNoSlot && slots_[ev.slot].cancelled;
-  }
+  void push(TimePoint when, std::uint32_t slot, EventFn fn);
+  /// Pops and runs the head. Precondition: reaped and non-empty.
+  void run_head();
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::vector<Event> heap_;  // 4-ary min-heap, see simulator.cc
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  EventHeap<Event> queue_;
+  TimerSlab slots_;
   Rng rng_;
 };
 

@@ -289,5 +289,17 @@ TEST(Json, TypedAccessorsFallBackOnTypeMismatch) {
   EXPECT_EQ(json::get_object(o, "s"), nullptr);
 }
 
+TEST(Json, EscaperRoundTripsControlCharactersAndParserRejectsRawOnes) {
+  const std::string raw = "q\"b\\n\nt\tr\r\x01\x1f";
+  std::string doc = "{\"k\": \"";
+  json::append_escaped(doc, raw);
+  doc += "\"}";
+  auto parsed = json::parse(doc);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
+  EXPECT_EQ(json::get_str(*parsed.value().object(), "k", ""), raw);
+  // RFC 8259: control characters inside a string must be escaped.
+  EXPECT_FALSE(json::parse("{\"k\": \"a\nb\"}").is_ok());
+}
+
 }  // namespace
 }  // namespace marlin::wire

@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "common/json.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -316,6 +317,22 @@ TEST(Export, MetricsJsonAndCsvAreDeterministic) {
   // Re-exporting the same registry is byte-identical.
   EXPECT_EQ(json, metrics_to_json(reg));
   EXPECT_EQ(csv, metrics_to_csv(reg));
+}
+
+TEST(Export, MetricsJsonKeyWithNewlineParsesBack) {
+  // A label value may carry any byte; the JSON export must still be a
+  // document common/json reads back to the very same key.
+  MetricsRegistry reg;
+  reg.counter("c", "peer=a\nb\t\x01") = 7;
+  const std::string text = metrics_to_json(reg);
+  EXPECT_NE(text.find(R"("c{peer=a\nb\t\u0001}": 7)"), std::string::npos)
+      << text;
+  const auto doc = json::parse(text);
+  ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
+  const json::Object* counters =
+      json::get_object(*doc.value().object(), "counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(json::get_num(*counters, "c{peer=a\nb\t\x01}", -1), 7);
 }
 
 TEST(Export, ViewTimelineGroupsByView) {

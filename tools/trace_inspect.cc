@@ -273,13 +273,6 @@ void usage() {
       "the events they need to walk.\n");
 }
 
-std::string block_hex(std::uint64_t block) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(block));
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -355,7 +348,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (!block_prefix.empty() &&
-        block_hex(e.block).rfind(block_prefix, 0) != 0) {
+        obs::fmt_hex64(e.block).rfind(block_prefix, 0) != 0) {
       continue;
     }
     if (have_view_filter && e.view != view_filter) continue;
