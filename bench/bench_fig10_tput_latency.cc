@@ -16,11 +16,11 @@ namespace {
 
 // One dedicated f = 1 default-seed run per protocol, traced into a fresh
 // sink, so the critical-path attribution is over a clean single-run trace
-// (the sweep's shared ring interleaves runs and overflows).
+// (the sweep's shared ring interleaves runs and overflows). Each run
+// contributes the paths of its own shape to one report.
 std::string critical_path_artifact() {
   using namespace marlin::bench;
-  std::string out;
-  std::vector<marlin::obs::CriticalPathBreakdown> breakdowns;
+  std::vector<marlin::obs::CriticalPath> paths;
   for (ProtocolKind protocol :
        {ProtocolKind::kMarlin, ProtocolKind::kHotStuff}) {
     ClusterConfig cfg = paper_config(1, protocol);
@@ -29,22 +29,12 @@ std::string critical_path_artifact() {
     cfg.trace = &sink;
     marlin::runtime::run_experiment(marlin::runtime::throughput_options(
         cfg, marlin::Duration::seconds(3), marlin::Duration::seconds(5)));
-    const auto paths = marlin::obs::critical_paths(sink.events());
     const bool three = protocol == ProtocolKind::kHotStuff;
-    for (const auto& p : paths) {
-      if (p.complete && p.three_phase == three) {
-        out += std::string("== ") + protocol_name(protocol) +
-               (three ? " (three-phase) ==\n" : " (two-phase) ==\n");
-        out += marlin::obs::critical_path_to_text(p);
-        break;
-      }
+    for (auto& p : marlin::obs::critical_paths(sink.events())) {
+      if (p.three_phase == three) paths.push_back(std::move(p));
     }
-    breakdowns.push_back(marlin::obs::aggregate_critical_paths(paths, three));
-    out += marlin::obs::breakdown_to_text(breakdowns.back());
-    out += "\n";
   }
-  out += marlin::obs::breakdown_comparison(breakdowns[0], breakdowns[1]);
-  return out;
+  return marlin::obs::critical_path_report(paths);
 }
 
 }  // namespace

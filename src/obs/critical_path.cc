@@ -2,109 +2,62 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "obs/export.h"
+#include "obs/lifecycle.h"
+#include "obs/metrics.h"
 
 namespace marlin::obs {
 
 namespace {
 
-// Wire MsgKind values for matching kMsgDelivered events (mirrors simnet's
-// kind table; obs stays below the types layer).
-constexpr std::uint8_t kKindProposal = 3;
-constexpr std::uint8_t kKindVote = 4;
-constexpr std::uint8_t kKindQcNotice = 5;
-
-// types::Phase wire value for PRECOMMIT — present only in HotStuff's
-// three-phase pipeline, which is how the analyzer tells the shapes apart.
-constexpr std::uint8_t kPhasePreCommit = 2;
-
 double ms(Duration d) { return d.as_millis_f(); }
 double ns_to_ms(double ns) { return ns / 1e6; }
 
-struct Delivered {
-  TimePoint at;
-  std::uint32_t to;
-  std::uint32_t from;
-  std::uint8_t kind;
-  std::uint64_t queue_ns;
-  std::uint64_t transit_ns;
-};
-
-struct VoteRecv {
-  std::uint64_t seq;
-  TimePoint at;
-  std::uint32_t sender;
-};
-
-struct BlockAgg {
-  std::uint64_t first_seq = 0;
-  ViewNumber view = 0;
-  Height height = 0;
-  bool proposed = false;
-  std::uint32_t leader = kNoNode;
-  TimePoint prop_at;
-  bool batch = false;
-  Duration batch_wait;
-  // First kVoteSent per (phase, voter).
-  std::map<std::pair<std::uint8_t, std::uint32_t>, TimePoint> vote_sent;
-  // kVoteReceived per phase, in sequence order.
-  std::map<std::uint8_t, std::vector<VoteRecv>> vote_recv;
-  struct Qc {
-    std::uint8_t phase;
-    TimePoint at;
-    std::uint32_t node;
-    std::uint64_t seq;
-  };
-  std::vector<Qc> qcs;
-  bool committed = false;
-  TimePoint commit_at;
-  std::uint32_t commit_node = kNoNode;
-};
-
-// Latest delivery of a `kind` frame from -> to no later than `end`.
-const Delivered* match_delivery(const std::vector<Delivered>& deliveries,
-                                std::uint32_t from, std::uint32_t to,
-                                std::uint8_t kind, TimePoint end) {
-  const auto hi = std::upper_bound(
-      deliveries.begin(), deliveries.end(), end,
-      [](TimePoint t, const Delivered& d) { return t < d.at; });
-  for (auto it = hi; it != deliveries.begin();) {
+// The frame that carried edge `e`: the latest `kind` delivery from -> to
+// at or before the edge end that was sent no earlier than the edge began.
+// A pipelined voter can have two votes in flight to the same leader; the
+// older one left before this edge began and does not belong to it.
+const Delivery* match_delivery(const std::vector<Delivery>& deliveries,
+                               const CriticalPathEdge& e, std::uint8_t kind) {
+  auto it = std::upper_bound(
+      deliveries.begin(), deliveries.end(), e.end,
+      [](TimePoint t, const Delivery& d) { return t < d.at; });
+  while (it != deliveries.begin()) {
     --it;
-    if (it->to == to && it->from == from && it->kind == kind) return &*it;
+    if (it->at < e.begin) break;  // sent at or before delivery: too early
+    if (it->to == e.to && it->from == e.from && it->kind == kind &&
+        it->sent() >= e.begin) {
+      return &*it;
+    }
   }
   return nullptr;
 }
 
 // Decomposes a network edge against its matched delivery of a `kind`
-// frame and sets the dominant component. Unmatched edges count entirely
-// as wire time.
+// frame and sets the dominant component; queue + wire + cpu is the edge's
+// duration. Unmatched edges count entirely as wire time.
 void attribute_edge(CriticalPathEdge& e,
-                    const std::vector<Delivered>& deliveries,
+                    const std::vector<Delivery>& deliveries,
                     std::uint8_t kind) {
   if (!e.network) {
     e.cpu = e.duration();
     e.dominant = CostKind::kCrypto;
     return;
   }
-  const Delivered* d = match_delivery(deliveries, e.from, e.to, kind, e.end);
-  if (d == nullptr || d->at < e.begin) {
+  const Delivery* d = match_delivery(deliveries, e, kind);
+  if (d == nullptr) {
     e.wire = e.duration();
     e.dominant = CostKind::kLink;
     return;
   }
   e.queue = Duration::nanos(static_cast<std::int64_t>(d->queue_ns));
-  const Duration transit =
-      Duration::nanos(static_cast<std::int64_t>(d->transit_ns));
-  e.wire = transit - e.queue;
-  // The frame left the sender's protocol task at (delivery - transit);
-  // time before that is sender CPU (charged crypto delaying the send),
-  // time after delivery until the handler's milestone is receiver CPU.
-  const TimePoint sent = d->at - transit;
-  Duration cpu = Duration::zero();
-  if (sent > e.begin) cpu += sent - e.begin;
-  if (e.end > d->at) cpu += e.end - d->at;
-  e.cpu = cpu;
+  e.wire = Duration::nanos(static_cast<std::int64_t>(d->transit_ns)) - e.queue;
+  // Time before the frame left the sender's protocol task is sender CPU
+  // (charged crypto delaying the send); time after delivery until the
+  // handler's milestone is receiver CPU.
+  e.cpu = (d->sent() - e.begin) + (e.end - d->at);
   e.dominant = CostKind::kLink;
   if (e.queue > e.wire && e.queue > e.cpu) e.dominant = CostKind::kQueue;
   if (e.cpu > e.wire && e.cpu >= e.queue) e.dominant = CostKind::kCrypto;
@@ -137,174 +90,18 @@ std::vector<std::string> table_order(
   return order;
 }
 
-}  // namespace
-
-std::vector<CriticalPath> critical_paths(
-    const std::vector<TraceEvent>& events) {
-  std::map<std::uint64_t, BlockAgg> aggs;
-  std::vector<std::uint64_t> order;
-  std::vector<Delivered> deliveries;
-
-  auto touch = [&](const TraceEvent& e) -> BlockAgg& {
-    auto [it, inserted] = aggs.try_emplace(e.block);
-    if (inserted) {
-      it->second.first_seq = e.seq;
-      order.push_back(e.block);
-    }
-    BlockAgg& agg = it->second;
-    if (agg.view == 0) agg.view = e.view;
-    if (agg.height == 0) agg.height = e.height;
-    return agg;
-  };
-
-  for (const TraceEvent& e : events) {
-    switch (e.type) {
-      case EventType::kProposalSent: {
-        if (e.block == 0) break;
-        BlockAgg& agg = touch(e);
-        if (!agg.proposed) {
-          agg.proposed = true;
-          agg.leader = e.node;
-          agg.prop_at = e.at;
-        }
-        break;
-      }
-      case EventType::kBatchDequeued: {
-        BlockAgg& agg = touch(e);
-        agg.batch = true;
-        agg.batch_wait = Duration::nanos(static_cast<std::int64_t>(e.b));
-        break;
-      }
-      case EventType::kVoteSent:
-        touch(e).vote_sent.try_emplace({e.phase, e.node}, e.at);
-        break;
-      case EventType::kVoteReceived:
-        touch(e).vote_recv[e.phase].push_back(
-            {e.seq, e.at, static_cast<std::uint32_t>(e.a)});
-        break;
-      case EventType::kQcFormed:
-        touch(e).qcs.push_back({e.phase, e.at, e.node, e.seq});
-        break;
-      case EventType::kCommit: {
-        BlockAgg& agg = touch(e);
-        if (!agg.committed) {
-          agg.committed = true;
-          agg.commit_at = e.at;
-          agg.commit_node = e.node;
-        }
-        break;
-      }
-      case EventType::kMsgDelivered:
-        deliveries.push_back({e.at, e.node, static_cast<std::uint32_t>(e.a),
-                              e.kind, e.b, e.c});
-        break;
-      default:
-        break;
-    }
-  }
-
-  std::vector<CriticalPath> out;
-  for (const std::uint64_t id : order) {
-    const BlockAgg& agg = aggs.at(id);
-    if (!agg.proposed || agg.qcs.empty()) continue;
-
-    CriticalPath p;
-    p.block = id;
-    p.view = agg.view;
-    p.height = agg.height;
-    for (const BlockAgg::Qc& qc : agg.qcs) {
-      if (qc.phase == kPhasePreCommit) p.three_phase = true;
-    }
-
-    bool complete = true;
-    if (agg.batch && agg.batch_wait > Duration::zero()) {
-      CriticalPathEdge e;
-      e.label = "txpool.wait";
-      e.from = e.to = agg.leader;
-      e.begin = agg.prop_at - agg.batch_wait;
-      e.end = agg.prop_at;
-      e.queue = e.duration();
-      e.dominant = CostKind::kQueue;
-      p.edges.push_back(std::move(e));
-    }
-
-    TimePoint prev_t = agg.prop_at;
-    std::uint32_t prev_node = agg.leader;
-    bool first_qc = true;
-    for (const BlockAgg::Qc& qc : agg.qcs) {
-      // The vote that completed the quorum: last one received before the
-      // QC formed.
-      const VoteRecv* completing = nullptr;
-      auto vr_it = agg.vote_recv.find(qc.phase);
-      if (vr_it != agg.vote_recv.end()) {
-        for (const VoteRecv& vr : vr_it->second) {
-          if (vr.seq < qc.seq) completing = &vr;
-        }
-      }
-      auto vs_it = completing == nullptr
-                       ? agg.vote_sent.end()
-                       : agg.vote_sent.find({qc.phase, completing->sender});
-      if (completing == nullptr || vs_it == agg.vote_sent.end() ||
-          vs_it->second < prev_t) {
-        complete = false;
-        break;
-      }
-      const std::uint32_t voter = completing->sender;
-      const char* phase = trace_phase_name(qc.phase);
-
-      CriticalPathEdge out_edge;
-      out_edge.label = first_qc ? "proposal.out"
-                                : "notice[" + std::string(phase) + "].out";
-      out_edge.from = prev_node;
-      out_edge.to = voter;
-      out_edge.begin = prev_t;
-      out_edge.end = vs_it->second;
-      out_edge.network = true;
-      attribute_edge(out_edge, deliveries,
-                     first_qc ? kKindProposal : kKindQcNotice);
-      p.edges.push_back(std::move(out_edge));
-
-      CriticalPathEdge back;
-      back.label = "vote[" + std::string(phase) + "].back";
-      back.from = voter;
-      back.to = qc.node;
-      back.begin = vs_it->second;
-      back.end = completing->at;
-      back.network = true;
-      back.response = true;
-      attribute_edge(back, deliveries, kKindVote);
-      p.edges.push_back(std::move(back));
-
-      prev_t = qc.at;
-      prev_node = qc.node;
-      first_qc = false;
-    }
-
-    if (complete && agg.committed && agg.commit_at >= prev_t) {
-      CriticalPathEdge e;
-      e.label = "decide.out";
-      e.from = prev_node;
-      e.to = agg.commit_node;
-      e.begin = prev_t;
-      e.end = agg.commit_at;
-      e.network = agg.commit_node != prev_node;
-      attribute_edge(e, deliveries, kKindQcNotice);
-      p.edges.push_back(std::move(e));
-    } else {
-      complete = false;
-    }
-
-    p.complete = complete;
-    if (!p.edges.empty()) {
-      p.total = p.edges.back().end - p.edges.front().begin;
-    }
-    for (const CriticalPathEdge& e : p.edges) {
-      if (e.response) ++p.round_trips;
-    }
-    out.push_back(std::move(p));
-  }
-  return out;
-}
+/// Aggregate over the complete paths of one protocol shape.
+struct CriticalPathBreakdown {
+  bool three_phase = false;
+  std::uint64_t blocks = 0;   // complete paths aggregated
+  std::uint64_t skipped = 0;  // incomplete paths excluded (reported, not hidden)
+  std::uint32_t round_trips = 0;
+  std::map<std::string, ValueHistogram> edge_ns;  // per-label durations
+  ValueHistogram total_ns;
+  ValueHistogram queue_ns;  // per-path sums of each component
+  ValueHistogram wire_ns;
+  ValueHistogram cpu_ns;
+};
 
 CriticalPathBreakdown aggregate_critical_paths(
     const std::vector<CriticalPath>& paths, bool three_phase) {
@@ -425,8 +222,105 @@ std::string breakdown_comparison(const CriticalPathBreakdown& marlin,
   return out;
 }
 
-std::string critical_path_report(const std::vector<TraceEvent>& events) {
-  const std::vector<CriticalPath> paths = critical_paths(events);
+}  // namespace
+
+std::vector<CriticalPath> critical_paths(
+    const std::vector<TraceEvent>& events) {
+  const LifecycleIndex idx = index_lifecycles(events);
+  std::vector<CriticalPath> out;
+  for (const BlockLifecycle& b : idx.blocks) {
+    if (!b.proposed || b.qcs.empty()) continue;
+
+    CriticalPath p;
+    p.block = b.block;
+    p.view = b.view;
+    p.height = b.height;
+    for (const BlockLifecycle::Qc& qc : b.qcs) {
+      if (qc.phase == kPhasePreCommit) p.three_phase = true;
+    }
+
+    bool complete = true;
+    if (b.batch && b.batch_wait > Duration::zero()) {
+      CriticalPathEdge e;
+      e.label = "txpool.wait";
+      e.from = e.to = b.leader;
+      e.begin = b.proposed_at - b.batch_wait;
+      e.end = b.proposed_at;
+      e.queue = e.duration();
+      e.dominant = CostKind::kQueue;
+      p.edges.push_back(std::move(e));
+    }
+
+    TimePoint prev_t = b.proposed_at;
+    std::uint32_t prev_node = b.leader;
+    bool first_qc = true;
+    for (const BlockLifecycle::Qc& qc : b.qcs) {
+      const std::optional<VoteReceipt>& completing = qc.completing_vote;
+      const auto vs_it =
+          completing ? b.first_vote_sent.find({qc.phase, completing->voter})
+                     : b.first_vote_sent.end();
+      if (vs_it == b.first_vote_sent.end() || vs_it->second < prev_t) {
+        complete = false;
+        break;
+      }
+      const std::uint32_t voter = completing->voter;
+      const char* phase = trace_phase_name(qc.phase);
+
+      CriticalPathEdge out_edge;
+      out_edge.label = first_qc ? "proposal.out"
+                                : "notice[" + std::string(phase) + "].out";
+      out_edge.from = prev_node;
+      out_edge.to = voter;
+      out_edge.begin = prev_t;
+      out_edge.end = vs_it->second;
+      out_edge.network = true;
+      attribute_edge(out_edge, idx.deliveries,
+                     first_qc ? kKindProposal : kKindQcNotice);
+      p.edges.push_back(std::move(out_edge));
+
+      CriticalPathEdge back;
+      back.label = "vote[" + std::string(phase) + "].back";
+      back.from = voter;
+      back.to = qc.node;
+      back.begin = vs_it->second;
+      back.end = completing->at;
+      back.network = true;
+      back.response = true;
+      attribute_edge(back, idx.deliveries, kKindVote);
+      p.edges.push_back(std::move(back));
+
+      prev_t = qc.at;
+      prev_node = qc.node;
+      first_qc = false;
+    }
+
+    if (complete && b.committed && b.first_commit >= prev_t) {
+      CriticalPathEdge e;
+      e.label = "decide.out";
+      e.from = prev_node;
+      e.to = b.first_committer;
+      e.begin = prev_t;
+      e.end = b.first_commit;
+      e.network = b.first_committer != prev_node;
+      attribute_edge(e, idx.deliveries, kKindQcNotice);
+      p.edges.push_back(std::move(e));
+    } else {
+      complete = false;
+    }
+
+    p.complete = complete;
+    if (!p.edges.empty()) {
+      p.total = p.edges.back().end - p.edges.front().begin;
+    }
+    for (const CriticalPathEdge& e : p.edges) {
+      if (e.response) ++p.round_trips;
+    }
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+std::string critical_path_report(const std::vector<CriticalPath>& paths) {
   if (paths.empty()) {
     return "no critical paths (no proposed blocks with QCs in trace)\n";
   }
@@ -452,6 +346,10 @@ std::string critical_path_report(const std::vector<TraceEvent>& events) {
                                 aggregate_critical_paths(paths, true));
   }
   return out;
+}
+
+std::string critical_path_report(const std::vector<TraceEvent>& events) {
+  return critical_path_report(critical_paths(events));
 }
 
 }  // namespace marlin::obs

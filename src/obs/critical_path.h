@@ -10,11 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 
@@ -52,39 +50,17 @@ struct CriticalPath {
   std::uint32_t round_trips = 0;
 };
 
-/// Extracts one path per proposed-and-committed block, in first-touch
-/// order. Paths missing a milestone come back with complete = false.
+/// Extracts one path per proposed-and-committed block of a time-ordered
+/// trace, in first-touch order. Paths missing a milestone come back with
+/// complete = false.
 std::vector<CriticalPath> critical_paths(const std::vector<TraceEvent>& events);
 
-/// Aggregate over the complete paths of one protocol shape.
-struct CriticalPathBreakdown {
-  bool three_phase = false;
-  std::uint64_t blocks = 0;   // complete paths aggregated
-  std::uint64_t skipped = 0;  // incomplete paths excluded (reported, not hidden)
-  std::uint32_t round_trips = 0;
-  std::map<std::string, ValueHistogram> edge_ns;  // per-label durations
-  ValueHistogram total_ns;
-  ValueHistogram queue_ns;  // per-path sums of each component
-  ValueHistogram wire_ns;
-  ValueHistogram cpu_ns;
-};
+/// Full report: splits paths by protocol shape, shows the first complete
+/// path of each shape in detail, each shape's mean/p50/p99 breakdown, and
+/// the Marlin-vs-HotStuff comparison when both shapes are present.
+std::string critical_path_report(const std::vector<CriticalPath>& paths);
 
-CriticalPathBreakdown aggregate_critical_paths(
-    const std::vector<CriticalPath>& paths, bool three_phase);
-
-/// One path as a per-edge table, ending with "network round trips: N".
-std::string critical_path_to_text(const CriticalPath& p);
-
-/// One shape's aggregate as a mean/p50/p99 table.
-std::string breakdown_to_text(const CriticalPathBreakdown& b);
-
-/// Marlin and HotStuff breakdowns side by side (canonical edge order).
-std::string breakdown_comparison(const CriticalPathBreakdown& marlin,
-                                 const CriticalPathBreakdown& hotstuff);
-
-/// Full report for a trace: splits paths by protocol shape, shows the
-/// first complete path of each shape in detail, each shape's breakdown,
-/// and the side-by-side comparison when both shapes are present.
+/// critical_path_report over the paths of a time-ordered trace.
 std::string critical_path_report(const std::vector<TraceEvent>& events);
 
 }  // namespace marlin::obs

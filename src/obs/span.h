@@ -53,9 +53,9 @@ struct BlockSpans {
                                // commit.spread, reply.delivery
 };
 
-/// Stitches events (sequence order) into per-block spans. Blocks are
-/// returned in first-touch order; blocks that never reached kProposalSent
-/// are skipped (there is no lifecycle to report).
+/// Stitches events (time order, see sort_by_time) into per-block spans.
+/// Blocks are returned in first-touch order; blocks that never reached
+/// kProposalSent are skipped (there is no lifecycle to report).
 std::vector<BlockSpans> build_spans(const std::vector<TraceEvent>& events);
 
 /// Chrome trace-event JSON ("Trace Event Format"), loadable in Perfetto /

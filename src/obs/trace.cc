@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <tuple>
 
 namespace marlin::obs {
 
@@ -35,6 +36,14 @@ EventType event_type_from_name(const std::string& name) {
 const char* trace_phase_name(std::uint8_t phase) {
   if (phase == kNoPhase) return "-";
   return phase < 5 ? kPhaseNames[phase] : "unknown";
+}
+
+void sort_by_time(std::vector<TraceEvent>& events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return std::tie(a.at, a.seq, a.node) <
+                            std::tie(b.at, b.seq, b.node);
+                   });
 }
 
 TraceSink::TraceSink(std::size_t capacity)

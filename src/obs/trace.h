@@ -77,6 +77,14 @@ const char* trace_phase_name(std::uint8_t phase);
 inline constexpr std::uint32_t kNoNode = 0xffffffffu;
 inline constexpr std::uint8_t kNoPhase = 0xff;
 
+/// The wire values the analyzers match events on. They mirror
+/// types::MsgKind and types::Phase (types_test pins them).
+inline constexpr std::uint8_t kKindProposal = 3;
+inline constexpr std::uint8_t kKindVote = 4;
+inline constexpr std::uint8_t kKindQcNotice = 5;
+/// PRECOMMIT: only HotStuff's three-phase pipeline forms these QCs.
+inline constexpr std::uint8_t kPhasePreCommit = 2;
+
 /// kMsgDropped reasons (the `b` operand).
 inline constexpr std::uint64_t kDropFilter = 0;  // partition / filter
 inline constexpr std::uint64_t kDropRandom = 1;  // loss model
@@ -99,6 +107,13 @@ struct TraceEvent {
 
   bool operator==(const TraceEvent&) const = default;
 };
+
+/// Puts events into time order, the order every analyzer expects. A
+/// simulated trace is already in it (seq follows the one clock), but on
+/// metal every node has its own sink, so seq is per node and only the
+/// time stamps interleave nodes correctly. Ties break on (seq, node), so
+/// any permutation of the same events sorts identically.
+void sort_by_time(std::vector<TraceEvent>& events);
 
 class TraceSink {
  public:

@@ -425,10 +425,7 @@ std::vector<obs::TraceEvent> RealCluster::merged_trace_events() const {
     auto events = node.trace->events();
     all.insert(all.end(), events.begin(), events.end());
   }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                     return a.at < b.at;
-                   });
+  obs::sort_by_time(all);
   return all;
 }
 

@@ -104,7 +104,7 @@ class RealCluster {
   bool committed_heights_consistent() const;
   Height min_committed_height() const;
 
-  /// All nodes' trace events merged and time-sorted.
+  /// All nodes' trace events merged in obs::sort_by_time order.
   ///
   /// Contract: tracing is opt-in at construction. When options.trace is
   /// false no sink exists anywhere, and this returns an EMPTY vector — it

@@ -43,8 +43,10 @@ struct ProbeGroups {
   }
 };
 
-constexpr std::uint8_t kRequestKind = 1;   // types::MsgKind::kClientRequest
-constexpr std::uint8_t kProposalKind = 3;  // types::MsgKind::kProposal
+constexpr auto kRequestKind =
+    static_cast<std::uint8_t>(types::MsgKind::kClientRequest);
+constexpr auto kProposalKind =
+    static_cast<std::uint8_t>(types::MsgKind::kProposal);
 
 // Every delivered buffer of the given kinds, one retained Payload each (see
 // ProbeGroups on why retaining keeps pointer identity faithful).

@@ -8,11 +8,13 @@
 // timings (wall-clock here is not the simulator's virtual clock).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
 
+#include "obs/critical_path.h"
 #include "realnet/clock.h"
 #include "realnet/event_loop.h"
 #include "realnet/http_client.h"
@@ -574,6 +576,47 @@ TEST(RealCluster, TracesRecordCommitsAndDeliveries) {
   for (std::size_t i = 1; i < events.size(); ++i) {
     ASSERT_LE(events[i - 1].at.as_nanos(), events[i].at.as_nanos());
   }
+}
+
+// On metal every node has its own sink, so seq is per node and a seq sort
+// interleaves the nodes out of time order. sort_by_time puts any such
+// permutation back into the merged order, and the critical path read from
+// it splits every edge into queue + wire + cpu parts that add up.
+TEST(RealCluster, TraceAnalysisReadsTimeOrderNotSeqOrder) {
+  runtime::ClusterConfig cfg = quick_cluster_config(1);
+  RealClusterOptions opts;
+  opts.trace = true;
+  RealCluster cluster(cfg, opts);
+  ASSERT_TRUE(cluster.ok().is_ok());
+  cluster.start();
+  ASSERT_TRUE(eventually(Duration::seconds(20), [&] {
+    return cluster.total_completed() > 100;
+  }));
+  cluster.stop();
+
+  const auto events = cluster.merged_trace_events();
+  auto scrambled = events;
+  std::stable_sort(scrambled.begin(), scrambled.end(),
+                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+                     return a.seq < b.seq;
+                   });
+  EXPECT_NE(scrambled, events);
+  obs::sort_by_time(scrambled);
+  EXPECT_EQ(scrambled, events);
+  EXPECT_EQ(obs::critical_path_report(scrambled),
+            obs::critical_path_report(events));
+
+  std::size_t complete = 0;
+  for (const obs::CriticalPath& p : obs::critical_paths(events)) {
+    if (!p.complete) continue;
+    ++complete;
+    for (const obs::CriticalPathEdge& e : p.edges) {
+      EXPECT_EQ((e.queue + e.wire + e.cpu).as_nanos(),
+                e.duration().as_nanos())
+          << e.label;
+    }
+  }
+  EXPECT_GT(complete, 0u);
 }
 
 // ---------------------------------------------------------------------------

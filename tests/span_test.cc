@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "obs/critical_path.h"
+#include "obs/export.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "runtime/cluster.h"
@@ -47,6 +49,24 @@ std::vector<TraceEvent> run_traced(ClusterConfig cfg, int secs,
   return sink->events();
 }
 
+// The library default: chained pipelining, where one voter can have votes
+// for two consecutive blocks in flight to the same leader.
+ClusterConfig pipelined_config(ProtocolKind protocol) {
+  ClusterConfig cfg = tiny_config(protocol);
+  cfg.consensus.pipelined = true;
+  cfg.seed = 42;
+  return cfg;
+}
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 const CriticalPath* first_complete(const std::vector<CriticalPath>& paths) {
   for (const CriticalPath& p : paths) {
     if (p.complete) return &p;
@@ -67,7 +87,9 @@ TEST(CriticalPath, MarlinHasTwoRoundTrips) {
   EXPECT_EQ(p->edges.back().label, "decide.out");
   // Every complete path in a Marlin run agrees on the round-trip count.
   for (const CriticalPath& path : paths) {
-    if (path.complete) EXPECT_EQ(path.round_trips, 2u);
+    if (path.complete) {
+      EXPECT_EQ(path.round_trips, 2u);
+    }
   }
 }
 
@@ -112,6 +134,54 @@ TEST(CriticalPath, NetworkEdgesAreWireDominatedOnThePaperTestbed) {
     // The decomposition accounts for the whole edge.
     const double sum_ms = (e.queue + e.wire + e.cpu).as_millis_f();
     EXPECT_NEAR(sum_ms, e.duration().as_millis_f(), 0.001) << e.label;
+  }
+}
+
+TEST(CriticalPath, EdgeComponentsSumToDurationOnEveryCompletePath) {
+  const ClusterConfig configs[] = {tiny_config(ProtocolKind::kMarlin),
+                                   tiny_config(ProtocolKind::kHotStuff),
+                                   pipelined_config(ProtocolKind::kMarlin)};
+  for (const ClusterConfig& cfg : configs) {
+    obs::TraceSink sink{1u << 17};
+    const auto paths = obs::critical_paths(run_traced(cfg, 3, &sink));
+    std::size_t checked = 0;
+    for (const CriticalPath& p : paths) {
+      if (!p.complete) continue;
+      for (const auto& e : p.edges) {
+        EXPECT_EQ((e.queue + e.wire + e.cpu).as_nanos(),
+                  e.duration().as_nanos())
+            << "block " << obs::fmt_hex64(p.block) << " " << e.label;
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 50u) << "seed " << cfg.seed;
+  }
+}
+
+// Pins the exact bytes of both exports. A change to span or critical-path
+// rules must update these digests and say which lines moved.
+TEST(Spans, OutputBytesArePinned) {
+  struct Case {
+    ClusterConfig cfg;
+    std::uint64_t spans;
+    std::uint64_t report;
+  };
+  const Case cases[] = {
+      {tiny_config(ProtocolKind::kMarlin), 0xef46f55bc2e0180eull,
+       0x14a788ae1029d3adull},
+      {tiny_config(ProtocolKind::kHotStuff), 0x00e6276e1282a751ull,
+       0xd59226be410f963bull},
+      {pipelined_config(ProtocolKind::kMarlin), 0x267b0b65565eef90ull,
+       0xc0c9794af8cec6c5ull},
+  };
+  for (const Case& c : cases) {
+    obs::TraceSink sink{1u << 17};
+    const auto events = run_traced(c.cfg, 3, &sink);
+    EXPECT_EQ(fnv1a64(obs::spans_to_chrome_json(obs::build_spans(events))),
+              c.spans)
+        << "spans, seed " << c.cfg.seed;
+    EXPECT_EQ(fnv1a64(obs::critical_path_report(events)), c.report)
+        << "report, seed " << c.cfg.seed;
   }
 }
 

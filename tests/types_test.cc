@@ -8,6 +8,7 @@
 #include <type_traits>
 
 #include "common/rng.h"
+#include "obs/trace.h"
 #include "types/block_store.h"
 #include "types/messages.h"
 
@@ -562,6 +563,15 @@ TEST(Messages, TrailingGarbageRejected) {
   Bytes enc = encode_to_bytes(req);
   enc.push_back(0x00);
   EXPECT_FALSE(decode_from_bytes<FetchRequestMsg>(enc).is_ok());
+}
+
+// obs sits below the types layer and mirrors the wire values its trace
+// analyzers match on; they must not drift from the real enums.
+TEST(Messages, TraceWireConstantsMirrorTheEnums) {
+  EXPECT_EQ(obs::kKindProposal, static_cast<std::uint8_t>(MsgKind::kProposal));
+  EXPECT_EQ(obs::kKindVote, static_cast<std::uint8_t>(MsgKind::kVote));
+  EXPECT_EQ(obs::kKindQcNotice, static_cast<std::uint8_t>(MsgKind::kQcNotice));
+  EXPECT_EQ(obs::kPhasePreCommit, static_cast<std::uint8_t>(Phase::kPreCommit));
 }
 
 }  // namespace

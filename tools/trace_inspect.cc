@@ -372,13 +372,9 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
-  if (need_buffer) {
-    // Traces are written in seq order, but be robust to concatenated files.
-    std::stable_sort(events.begin(), events.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.seq < b.seq;
-                     });
-  }
+  // seq is per sink, and a metal trace has one sink per node: only time
+  // orders the nodes' events together.
+  if (need_buffer) obs::sort_by_time(events);
 
   if (n == 0) n = n_acc.n();
 
