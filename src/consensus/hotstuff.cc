@@ -218,8 +218,8 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
 
 std::optional<Hash256> HotStuffReplica::vote_digest_of(
     const types::VoteMsg& msg) const {
-  // Votes on_vote discards unverified have no digest, so the preverify
-  // hook plans no work for them either.
+  // Only the current view's leader counts votes; others are dropped
+  // before any verification.
   if (msg.view != cview_ || leader_of(msg.view) != config_.id) {
     return std::nullopt;
   }

@@ -40,20 +40,11 @@ class HotStuffReplica : public ReplicaBase {
   void enter_view(ViewNumber v, bool send_new_view);
   void leader_check_new_view_quorum();
 
-  /// The digests a vote's and a VIEW-CHANGE's partial signatures cover,
-  /// derived once for both the handler and its preverify hook; nullopt
-  /// when the handler would discard the message unverified.
+  /// The digests a vote's and a VIEW-CHANGE's partial signatures cover;
+  /// nullopt when the handler discards the message unverified.
   std::optional<Hash256> vote_digest_of(const types::VoteMsg& msg) const;
   std::optional<Hash256> view_change_digest_of(
       const types::ViewChangeMsg& msg) const;
-  std::optional<Hash256> preverify_vote_digest(
-      const types::VoteMsg& msg) const override {
-    return vote_digest_of(msg);
-  }
-  std::optional<Hash256> preverify_view_change_digest(
-      const types::ViewChangeMsg& msg) const override {
-    return view_change_digest_of(msg);
-  }
 
   Hash256 digest_for(QcType type, const Hash256& h, ViewNumber bview,
                      Height height, ViewNumber pview) const;

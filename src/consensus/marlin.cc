@@ -387,8 +387,8 @@ void MarlinReplica::handle_prepare_notice(ReplicaId from,
 
 std::optional<Hash256> MarlinReplica::vote_digest_of(
     const types::VoteMsg& msg) const {
-  // Votes on_vote discards unverified have no digest, so the preverify
-  // hook plans no work for them either.
+  // Only the current view's leader counts votes; others are dropped
+  // before any verification.
   if (msg.view != cview_ || leader_of(msg.view) != config_.id) {
     return std::nullopt;
   }

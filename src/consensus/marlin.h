@@ -92,20 +92,11 @@ class MarlinReplica : public ReplicaBase {
   bool block_ref_rank_greater(ViewNumber bview, Height bheight,
                               const Justify& bjustify) const;
 
-  /// The digests a vote's and a VIEW-CHANGE's partial signatures cover,
-  /// derived once for both the handler and its preverify hook; nullopt
-  /// when the handler would discard the message unverified.
+  /// The digests a vote's and a VIEW-CHANGE's partial signatures cover;
+  /// nullopt when the handler discards the message unverified.
   std::optional<Hash256> vote_digest_of(const types::VoteMsg& msg) const;
   std::optional<Hash256> view_change_digest_of(
       const types::ViewChangeMsg& msg) const;
-  std::optional<Hash256> preverify_vote_digest(
-      const types::VoteMsg& msg) const override {
-    return vote_digest_of(msg);
-  }
-  std::optional<Hash256> preverify_view_change_digest(
-      const types::ViewChangeMsg& msg) const override {
-    return view_change_digest_of(msg);
-  }
 
   Hash256 prepare_digest_for_block(const Block& b, const Hash256& h) const;
   Hash256 digest_for_qc_fields(QcType type, ViewNumber view,

@@ -23,16 +23,14 @@ Duration client_stagger(std::size_t c) {
   return Duration::millis(5) +
          Duration::millis(41) * static_cast<std::int64_t>(c);
 }
+
+/// Patience for egress drain during stop().
+constexpr Duration kDrainTimeout = Duration::seconds(2);
 }  // namespace
 
 RealCluster::RealCluster(runtime::ClusterConfig config,
                          RealClusterOptions options)
     : config_(std::move(config)), options_(std::move(options)) {
-  // Worker threads verify through per-replica suites concurrently with the
-  // owning loop's signing; switch the tag caches to their locked mode
-  // before any suite exists. Never unset: other clusters in the process
-  // may still rely on it, and the locked path is correct (just slower).
-  if (options_.verify_workers > 0) crypto::set_parallel_crypto(true);
   const std::uint32_t total = n() + config_.clients.count;
   nodes_.resize(total);
   endpoints_.resize(total);
@@ -87,15 +85,14 @@ Status RealCluster::bind_listener(Node& node) {
 Status RealCluster::build_node(std::uint32_t id) {
   Node& node = nodes_[id];
   node.loop = std::make_unique<EventLoop>();
-  node.transport =
-      std::make_unique<TcpTransport>(*node.loop, id, options_.transport);
+  node.transport = std::make_unique<TcpTransport>(*node.loop, id);
   node.transport->adopt_listener(node.pending_listen_fd);
   node.pending_listen_fd = -1;
   for (std::uint32_t peer = 0; peer < endpoints_.size(); ++peer) {
     if (peer != id) node.transport->set_peer(peer, endpoints_[peer]);
   }
   if (options_.trace) {
-    node.trace = std::make_unique<obs::TraceSink>(options_.trace_capacity);
+    node.trace = std::make_unique<obs::TraceSink>();
     node.trace->set_clock([] { return mono_now(); });
     node.transport->set_trace(node.trace.get());
   }
@@ -110,12 +107,8 @@ Status RealCluster::build_node(std::uint32_t id) {
     if (!options_.data_dir.empty()) {
       rc.data_dir = options_.data_dir + "/r" + std::to_string(id);
     }
-    if (options_.verify_workers > 0) {
-      node.verify =
-          std::make_unique<VerifyPool>(*node.loop, options_.verify_workers);
-    }
-    node.replica = std::make_unique<RealReplica>(
-        *node.loop, *node.transport, *node.suite, rc, node.verify.get());
+    node.replica = std::make_unique<RealReplica>(*node.loop, *node.transport,
+                                                 *node.suite, rc);
     if (!node.replica->ok().is_ok()) return node.replica->ok();
     RealReplica* host = node.replica.get();
     if (options_.telemetry) {
@@ -185,8 +178,8 @@ void RealCluster::begin_stop(std::uint32_t id, bool drain) {
   // loop thread until empty (or patience runs out), then close everything
   // and stop the loop. The polling closure reschedules itself, so it must
   // live on the heap until the final round.
-  const TimePoint deadline = mono_now() + (drain ? options_.drain_timeout
-                                                 : Duration::zero());
+  const TimePoint deadline =
+      mono_now() + (drain ? kDrainTimeout : Duration::zero());
   // The closure holds only a weak self-reference; each rescheduled task
   // carries the strong one. A strong capture here would be a
   // shared_ptr cycle (the function owning itself) and leak every stop.
@@ -251,7 +244,6 @@ Status RealCluster::relaunch_replica(ReplicaId i) {
   // same port, rebuild, rejoin. Peers redial lazily via backoff.
   node.telemetry.reset();  // before the loop it registered with
   node.replica.reset();
-  node.verify.reset();  // joins workers before suite/loop go away
   node.transport.reset();
   node.loop.reset();
   node.suite.reset();

@@ -34,20 +34,12 @@ struct RealClusterOptions {
   bool sync_writes = false;
   /// Per-node event tracing into private sinks (merged_trace_events()).
   bool trace = false;
-  std::size_t trace_capacity = obs::TraceSink::kDefaultCapacity;
-  TransportConfig transport;
-  /// Patience for egress drain during stop().
-  Duration drain_timeout = Duration::seconds(2);
   /// Serve live GET /metrics, /status, /healthz per replica (127.0.0.1,
   /// on the replica's own loop thread — no extra threads).
   bool telemetry = false;
   /// Fixed telemetry ports: replica i listens on telemetry_base_port + i.
   /// 0 = ephemeral ports (read them back via telemetry_port(i)).
   std::uint16_t telemetry_base_port = 0;
-  /// Crypto pre-verification workers per replica. 0 (default) verifies
-  /// inline on the loop thread; >0 spawns a VerifyPool per replica and
-  /// turns on crypto::set_parallel_crypto for the process.
-  std::size_t verify_workers = 0;
 };
 
 class RealCluster {
@@ -139,11 +131,6 @@ class RealCluster {
     std::unique_ptr<TcpTransport> transport;
     std::unique_ptr<obs::TraceSink> trace;
     std::unique_ptr<crypto::SignatureSuite> suite;  // replicas only
-    // Between suite and replica on purpose: destroying the node joins the
-    // pool's workers (which reference the suite) before the suite dies,
-    // after the replica (which holds the pool pointer) is gone, and while
-    // the loop (declared first) is still alive for completion posts.
-    std::unique_ptr<VerifyPool> verify;    // replicas only, opt-in
     std::unique_ptr<RealReplica> replica;  // replicas only
     std::unique_ptr<runtime::ClientHost> client;  // clients only
     // Declared after the hosts it reads from: destroyed first, while the

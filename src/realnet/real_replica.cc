@@ -8,13 +8,11 @@ namespace marlin::realnet {
 
 RealReplica::RealReplica(EventLoop& loop, TcpTransport& transport,
                          const crypto::SignatureSuite& suite,
-                         runtime::ReplicaHostConfig config,
-                         VerifyPool* verify_pool)
-    : ReplicaHost(std::make_unique<MetalIo>(loop, transport, verify_pool),
-                  suite, std::move(config)),
+                         runtime::ReplicaHostConfig config)
+    : ReplicaHost(std::make_unique<MetalIo>(loop, transport), suite,
+                  std::move(config)),
       loop_(loop),
-      transport_(transport),
-      verify_pool_(verify_pool) {
+      transport_(transport) {
   // Loop/wheel health histograms live in this replica's registry (std::map
   // nodes are reference-stable); the loop records into them from its own
   // thread, the same thread that serves /metrics.
@@ -78,7 +76,6 @@ obs::MetricsRegistry RealReplica::snapshot_metrics() const {
   snap.counter("loop.iterations") += loop_.iterations();
   snap.counter("loop.posted_tasks") += loop_.posted_tasks_run();
   snap.counter("loop.timers_fired") += loop_.timers_fired();
-  if (verify_pool_ != nullptr) verify_pool_->export_metrics(snap);
   return snap;
 }
 

@@ -35,11 +35,9 @@ class RealReplica final : public runtime::ReplicaHost {
  public:
   /// Opens (or reopens) the store; check ok() before start(). `suite` must
   /// outlive the replica and must not be shared with another thread.
-  /// `verify_pool` (optional) pre-verifies ingress signatures off-loop.
   RealReplica(EventLoop& loop, TcpTransport& transport,
               const crypto::SignatureSuite& suite,
-              runtime::ReplicaHostConfig config,
-              VerifyPool* verify_pool = nullptr);
+              runtime::ReplicaHostConfig config);
 
   // -- telemetry (loop thread only) ------------------------------------------
   /// Liveness: true while the host shows recent activity (view timer
@@ -61,7 +59,6 @@ class RealReplica final : public runtime::ReplicaHost {
  private:
   EventLoop& loop_;
   TcpTransport& transport_;
-  VerifyPool* verify_pool_;
 };
 
 }  // namespace marlin::realnet

@@ -393,7 +393,7 @@ void TcpTransport::flush_peer(std::uint32_t id) {
     }
     peer.front_offset = written;
     ++flushes_;
-    if ((flushes_ & 7) == 0) frames_per_flush_.record(retired);
+    if ((flushes_ & 7) == 1) frames_per_flush_.record(retired);
   }
 
   const bool need_write = !peer.queue.empty();
@@ -501,7 +501,7 @@ void TcpTransport::ingress_readable(int fd) {
 
   if (!ingress_batch_.empty()) {
     ++ingress_wakes_;
-    if ((ingress_wakes_ & 7) == 0) {
+    if ((ingress_wakes_ & 7) == 1) {
       frames_per_wake_.record(ingress_batch_.size());
     }
     for (auto& [from, payload] : ingress_batch_) {

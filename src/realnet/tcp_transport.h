@@ -248,7 +248,8 @@ class TcpTransport final : public FdHandler {
   std::uint64_t flushes_ = 0;
   std::uint64_t ingress_wakes_ = 0;
   // Hot-path shape histograms, decimated 1-in-8 (sample vectors; same
-  // policy as the loop's iteration histogram).
+  // policy as the loop's iteration histogram). The first flush and wake
+  // are always sampled, so the summaries are non-empty once traffic flows.
   obs::ValueHistogram frames_per_flush_;
   obs::ValueHistogram frames_per_wake_;
 };

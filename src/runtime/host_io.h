@@ -20,7 +20,6 @@
 
 #include "common/payload.h"
 #include "common/scheduler.h"
-#include "common/verify_executor.h"
 
 namespace marlin::runtime {
 
@@ -61,9 +60,6 @@ class HostIo {
   virtual bool models_cpu() const = 0;
   /// Total CPU time charged so far.
   virtual Duration charged() const = 0;
-
-  /// Where ingress signature pre-verification runs.
-  virtual common::VerifyExecutor& verifier() = 0;
 
   /// Arms a timer `delay` from now() on timers(). Metal's wheel clock only
   /// advances once per loop iteration, so the deadline is taken from now().

@@ -156,8 +156,7 @@ void ReplicaHost::on_message(std::uint32_t from, Payload payload) {
     if (env.value().kind == MsgKind::kSnapshotResponse) {
       metrics_.counter("state_transfer.bytes") += payload.size();
     }
-    protocol_->ingress(static_cast<ReplicaId>(from), std::move(env).take(),
-                       io_->verifier());
+    protocol_->handle_message(static_cast<ReplicaId>(from), env.value());
   });
 }
 

@@ -57,12 +57,6 @@ class SimIo final : public HostIo, public sim::NetworkNode {
   bool models_cpu() const override { return true; }
   Duration charged() const override { return cpu_.total_busy(); }
 
-  common::VerifyExecutor& verifier() override {
-    // The inline executor runs handlers immediately, so charging and
-    // delivery order match a direct handle_message call.
-    return common::InlineVerifyExecutor::instance();
-  }
-
   void on_message(sim::NodeId from, Payload payload) override {
     host_->on_message(from, std::move(payload));
   }

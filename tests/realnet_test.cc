@@ -447,59 +447,6 @@ TEST(TcpTransport, ReconnectsAfterReceiverRestart) {
 }
 
 // ---------------------------------------------------------------------------
-// VerifyPool: off-loop work, in-order completions
-// ---------------------------------------------------------------------------
-
-// Workers race to finish out of order (later submissions sleep less), but
-// the loop thread must observe completions in exact submission order —
-// that ordering is what lets consensus ingress ride the pool unchanged.
-TEST(VerifyPool, CompletionsArriveInSubmissionOrder) {
-  EventLoop loop;
-  VerifyPool pool(loop, 3);
-  std::vector<int> done_order;
-  static constexpr int kJobs = 24;
-
-  loop.post([&] {
-    for (int i = 0; i < kJobs; ++i) {
-      std::function<void()> work;
-      if (i % 3 != 0) {  // every third job is a null-work placeholder
-        work = [i] {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds((kJobs - i) * 200));
-        };
-      }
-      pool.submit(std::move(work), [&done_order, &loop, i] {
-        done_order.push_back(i);
-        if (done_order.size() == kJobs) loop.stop();
-      });
-    }
-  });
-  std::thread t([&] { loop.run(); });
-  t.join();
-
-  ASSERT_EQ(done_order.size(), static_cast<std::size_t>(kJobs));
-  for (int i = 0; i < kJobs; ++i) EXPECT_EQ(done_order[i], i) << "slot " << i;
-  EXPECT_EQ(pool.jobs_submitted(), static_cast<std::uint64_t>(kJobs));
-  EXPECT_EQ(pool.queue_depth(), 0u);
-}
-
-// A null-work submit against an idle pool must not detour through a worker
-// (that's the zero-overhead client-traffic path).
-TEST(VerifyPool, NullWorkOnEmptyQueueRunsInline) {
-  EventLoop loop;
-  VerifyPool pool(loop, 1);
-  bool ran = false;
-  loop.post([&] {
-    pool.submit(nullptr, [&] { ran = true; });
-    EXPECT_TRUE(ran);  // synchronous: still inside the submit call
-    loop.stop();
-  });
-  std::thread t([&] { loop.run(); });
-  t.join();
-  EXPECT_TRUE(ran);
-}
-
-// ---------------------------------------------------------------------------
 // RealCluster: commit liveness on localhost TCP
 // ---------------------------------------------------------------------------
 
@@ -670,20 +617,17 @@ TEST(RealCluster, KilledReplicaRelaunchesFromDiskAndRejoins) {
   std::filesystem::remove_all(dir);
 }
 
-double scraped_metric(std::uint16_t port, const std::string& series);
-
-// With the verify pool enabled, ingress crypto pre-verification runs on
-// worker threads; the cluster must still commit, survive a hard kill +
-// relaunch (pool torn down and rebuilt with the node), and stay
-// consistent. This is the loop/pool boundary test the sanitizer jobs run.
-TEST(RealCluster, CommitsAndRelaunchesWithVerifyPool) {
-  const std::string dir = "/tmp/marlin_realnet_verify_pool_test";
+// A relaunched replica serves telemetry on the port it had before the kill
+// (real_cluster.h: "stable across relaunch"), and its /status reports the
+// restore from disk. Relaunch with telemetry on rebuilds the server on the
+// new incarnation's loop, the path the sanitizer jobs run.
+TEST(RealCluster, RelaunchedReplicaKeepsItsTelemetryPort) {
+  const std::string dir = "/tmp/marlin_realnet_relaunch_telemetry_test";
   std::filesystem::remove_all(dir);
 
   runtime::ClusterConfig cfg = quick_cluster_config(1);
   RealClusterOptions opts;
   opts.data_dir = dir;
-  opts.verify_workers = 2;
   opts.telemetry = true;
   RealCluster cluster(cfg, opts);
   ASSERT_TRUE(cluster.ok().is_ok()) << cluster.ok().message();
@@ -692,20 +636,24 @@ TEST(RealCluster, CommitsAndRelaunchesWithVerifyPool) {
   ASSERT_TRUE(eventually(Duration::seconds(20), [&] {
     return cluster.total_completed() > 30;
   }));
-  // Pool series are live on /metrics: the job counter climbed, and the
-  // queue-depth gauge is present (exact depth is timing-dependent).
-  const std::uint16_t port0 = cluster.telemetry_port(0);
-  ASSERT_NE(port0, 0);
-  EXPECT_GE(scraped_metric(port0, "marlin_verify_pool_jobs"), 1.0);
-  EXPECT_GE(scraped_metric(port0, "marlin_verify_pool_queue_depth"), 0.0);
-  EXPECT_GE(scraped_metric(port0, "marlin_verify_pool_workers"), 2.0);
-  EXPECT_GT(scraped_metric(port0, "marlin_verify_pool_verify_ns_count"), 0.0);
+  const std::uint16_t port2 = cluster.telemetry_port(2);
+  ASSERT_NE(port2, 0);
   cluster.kill_replica(2);
   const std::uint64_t before = cluster.total_completed();
   ASSERT_TRUE(eventually(Duration::seconds(20), [&] {
     return cluster.total_completed() > before + 30;
   }));
   ASSERT_TRUE(cluster.relaunch_replica(2).is_ok());
+  EXPECT_EQ(cluster.telemetry_port(2), port2);
+
+  std::string status;
+  EXPECT_TRUE(eventually(Duration::seconds(10), [&] {
+    auto resp = http_get("127.0.0.1", port2, "/status", Duration::seconds(2));
+    if (!resp.is_ok() || resp.value().status_code != 200) return false;
+    status = resp.value().body;
+    return true;
+  }));
+  EXPECT_NE(status.find("\"recovered\":true"), std::string::npos) << status;
   ASSERT_TRUE(eventually(Duration::seconds(30), [&] {
     return cluster.replica(2).protocol().committed_height() > 0;
   }));
@@ -713,9 +661,6 @@ TEST(RealCluster, CommitsAndRelaunchesWithVerifyPool) {
   cluster.stop();
   EXPECT_FALSE(cluster.any_safety_violation());
   EXPECT_TRUE(cluster.committed_heights_consistent());
-  // The pool actually saw traffic, and its metrics flow through snapshots.
-  obs::MetricsRegistry snap = cluster.replica(0).snapshot_metrics();
-  EXPECT_GT(snap.counter("verify_pool.jobs"), 0u);
   std::filesystem::remove_all(dir);
 }
 
