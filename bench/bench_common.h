@@ -18,9 +18,7 @@ namespace marlin::bench {
 using runtime::ClusterConfig;
 using runtime::ProtocolKind;
 
-inline const char* protocol_name(ProtocolKind p) {
-  return p == ProtocolKind::kMarlin ? "marlin" : "hotstuff";
-}
+using runtime::protocol_name;
 
 /// Paper-calibrated base configuration for a given f.
 inline ClusterConfig paper_config(std::uint32_t f, ProtocolKind protocol) {

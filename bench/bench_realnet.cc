@@ -13,13 +13,16 @@
 // (schema marlin/realnet/v2, with the producing host's core count); the
 // repo pins a representative run as BENCH_realnet.json. Wall-clock metal
 // numbers are machine-dependent, so CI only smoke-runs --quick and checks
-// that the artifact is written.
+// that the artifact is written. Every row reads the same runtime::Deployment
+// accessors; a row whose in-window `completed` count is not its throughput
+// times the window (within 1) fails, and the bench exits 1.
 //
 //   bench_realnet                      # full sweep, n = 4, 7, 10, 19
 //   bench_realnet --quick              # short windows, n = 4 only
 //   bench_realnet --out=PATH           # also write the JSON artifact
 #include <sys/resource.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -97,6 +100,17 @@ runtime::ClusterConfig workload(std::uint32_t f) {
   return cfg;
 }
 
+/// `completed` and `throughput_ops` count the same window on both
+/// backends, so one must be the other times the window length.
+bool completed_matches_throughput(const Row& r, Duration measure) {
+  const double expected = std::round(r.throughput_ops * measure.as_seconds_f());
+  if (std::fabs(static_cast<double>(r.completed) - expected) <= 1) return true;
+  std::fprintf(stderr, "n=%u %s: completed %llu != throughput x window %.0f\n",
+               r.n, r.backend, static_cast<unsigned long long>(r.completed),
+               expected);
+  return false;
+}
+
 Row run_sim(std::uint32_t f, Duration warmup, Duration measure) {
   const UsageSnap before = usage_now();
   runtime::ExperimentOptions exp =
@@ -111,7 +125,8 @@ Row run_sim(std::uint32_t f, Duration warmup, Duration measure) {
   row.p95_ms = rep.p95_latency_ms;
   row.mean_ms = rep.mean_latency_ms;
   row.completed = rep.total_completed;
-  row.ok = rep.safety_ok && rep.consistent;
+  row.ok = rep.safety_ok && rep.consistent &&
+           completed_matches_throughput(row, measure);
   return row;
 }
 
@@ -137,10 +152,11 @@ Row run_metal(std::uint32_t f, Duration warmup, Duration measure) {
   row.p50_ms = cluster.latency_ms(50);
   row.p95_ms = cluster.latency_ms(95);
   row.mean_ms = cluster.mean_latency_ms();
-  row.completed = cluster.total_completed();
+  row.completed = cluster.completed_in_window();
   row.ok = !cluster.any_safety_violation() &&
            cluster.committed_heights_consistent() &&
-           cluster.min_committed_height() > 0;
+           cluster.min_committed_height() > 0 &&
+           completed_matches_throughput(row, measure);
   return row;
 }
 

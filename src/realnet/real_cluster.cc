@@ -17,21 +17,14 @@
 namespace marlin::realnet {
 
 namespace {
-/// Client start stagger (see runtime::Cluster::start): synchronized
-/// closed-loop clients refill in lockstep generations otherwise.
-Duration client_stagger(std::size_t c) {
-  return Duration::millis(5) +
-         Duration::millis(41) * static_cast<std::int64_t>(c);
-}
-
 /// Patience for egress drain during stop().
 constexpr Duration kDrainTimeout = Duration::seconds(2);
 }  // namespace
 
 RealCluster::RealCluster(runtime::ClusterConfig config,
                          RealClusterOptions options)
-    : config_(std::move(config)), options_(std::move(options)) {
-  const std::uint32_t total = n() + config_.clients.count;
+    : Deployment(std::move(config)), options_(std::move(options)) {
+  const std::uint32_t total = n() + client_count();
   nodes_.resize(total);
   endpoints_.resize(total);
 
@@ -155,7 +148,7 @@ void RealCluster::start_node(std::uint32_t id) {
     loop->post([host] { host->start(); });
   } else {
     runtime::ClientHost* host = node.client.get();
-    loop->post([loop, host, delay = client_stagger(id - n())] {
+    loop->post([loop, host, delay = client_start_delay(id - n())] {
       loop->post_after(delay, [host] { host->start(); });
     });
   }
@@ -260,75 +253,6 @@ Status RealCluster::relaunch_replica(ReplicaId i) {
 
 const net::NodeNetStats& RealCluster::node_stats(std::uint32_t id) const {
   return nodes_[id].transport->stats();
-}
-
-void RealCluster::set_measurement_window(TimePoint start, TimePoint end) {
-  for (auto& node : nodes_) {
-    if (node.client) node.client->completed().set_window(start, end);
-    if (node.replica) node.replica->committed_ops().set_window(start, end);
-  }
-}
-
-double RealCluster::client_throughput() const {
-  double total = 0;
-  for (const auto& node : nodes_) {
-    if (node.client) total += node.client->completed().rate_per_second();
-  }
-  return total;
-}
-
-double RealCluster::latency_ms(double percentile) const {
-  std::vector<const LatencyHistogram*> lat;
-  for (const auto& node : nodes_) {
-    if (node.client) lat.push_back(&node.client->latency());
-  }
-  return runtime::pooled_latency(lat).percentile(percentile).as_millis_f();
-}
-
-double RealCluster::mean_latency_ms() const {
-  std::vector<const LatencyHistogram*> lat;
-  for (const auto& node : nodes_) {
-    if (node.client) lat.push_back(&node.client->latency());
-  }
-  return runtime::pooled_latency(lat).mean().as_millis_f();
-}
-
-std::uint64_t RealCluster::total_completed() const {
-  std::uint64_t total = 0;
-  for (const auto& node : nodes_) {
-    if (node.client) total += node.client->completed_total();
-  }
-  return total;
-}
-
-std::vector<const consensus::ReplicaBase*> RealCluster::protocols() const {
-  // A stopped (or killed-and-joined) replica's final state is still
-  // readable through its host object; no liveness filter here.
-  std::vector<const consensus::ReplicaBase*> out;
-  for (std::uint32_t i = 0; i < n(); ++i) {
-    out.push_back(nodes_[i].replica ? &nodes_[i].replica->protocol() : nullptr);
-  }
-  return out;
-}
-
-bool RealCluster::any_safety_violation() const {
-  return runtime::any_safety_violation(protocols());
-}
-
-bool RealCluster::committed_heights_consistent() const {
-  return runtime::committed_heights_consistent(protocols());
-}
-
-Height RealCluster::min_committed_height() const {
-  Height min = 0;
-  bool first = true;
-  for (std::uint32_t i = 0; i < n(); ++i) {
-    if (!nodes_[i].replica) continue;
-    const Height h = nodes_[i].replica->protocol().committed_height();
-    min = first ? h : std::min(min, h);
-    first = false;
-  }
-  return min;
 }
 
 obs::MetricsRegistry RealCluster::sample_metrics(Duration patience) {

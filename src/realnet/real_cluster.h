@@ -9,9 +9,11 @@
 // Construction happens entirely on the calling thread: every node's
 // listener is pre-bound (ephemeral ports) so the full endpoint table
 // exists before any node thread spawns. start() launches the threads;
-// stop() drains egress queues, stops the loops, and joins. Metrology
-// accessors are safe only while the cluster is stopped (construction→start
-// or after stop()) — node state belongs to node threads in between.
+// stop() drains egress queues, stops the loops, and joins. The metrology
+// is runtime::Deployment's, read through the node hosts: besides
+// total_completed() and sample_metrics(), accessors are safe only while
+// the cluster is stopped (construction→start or after stop()) — node
+// state belongs to node threads in between.
 #pragma once
 
 #include <memory>
@@ -22,7 +24,7 @@
 #include "crypto/signer.h"
 #include "obs/telemetry_server.h"
 #include "realnet/real_replica.h"
-#include "runtime/cluster.h"
+#include "runtime/deployment.h"
 
 namespace marlin::realnet {
 
@@ -42,7 +44,7 @@ struct RealClusterOptions {
   std::uint16_t telemetry_base_port = 0;
 };
 
-class RealCluster {
+class RealCluster final : public runtime::Deployment {
  public:
   explicit RealCluster(runtime::ClusterConfig config,
                        RealClusterOptions options = {});
@@ -54,11 +56,6 @@ class RealCluster {
   /// Construction result (listener binds, store opens). Do not start() a
   /// cluster whose ok() failed.
   Status ok() const { return init_status_; }
-
-  std::uint32_t n() const { return 3 * config_.f + 1; }
-  std::uint32_t f() const { return config_.f; }
-  std::uint32_t client_count() const { return config_.clients.count; }
-  const runtime::ClusterConfig& config() const { return config_; }
 
   /// Spawns every node thread, starts replicas, then staggered clients.
   void start();
@@ -82,19 +79,6 @@ class RealCluster {
   const net::NodeNetStats& node_stats(std::uint32_t id) const;
   /// Node id's transport (drain/shutdown assertions) — safe after stop().
   TcpTransport& transport(std::uint32_t id) { return *nodes_[id].transport; }
-
-  /// Sets the throughput measurement window on every counter; call before
-  /// start() (times on the mono_now() axis).
-  void set_measurement_window(TimePoint start, TimePoint end);
-  double client_throughput() const;
-  double latency_ms(double percentile) const;
-  double mean_latency_ms() const;
-  /// Requests completed by all clients — safe while running (progress
-  /// polls).
-  std::uint64_t total_completed() const;
-  bool any_safety_violation() const;
-  bool committed_heights_consistent() const;
-  Height min_committed_height() const;
 
   /// All nodes' trace events merged in obs::sort_by_time order.
   ///
@@ -148,10 +132,13 @@ class RealCluster {
   void start_node(std::uint32_t id);
   void begin_stop(std::uint32_t id, bool drain);
   void join_node(std::uint32_t id);
-  /// Every built replica's protocol (stopped cluster only).
-  std::vector<const consensus::ReplicaBase*> protocols() const;
+  runtime::ReplicaHost* replica_host(ReplicaId id) const override {
+    return nodes_[id].replica.get();
+  }
+  runtime::ClientHost* client_host(ClientId id) const override {
+    return nodes_[n() + id].client.get();
+  }
 
-  runtime::ClusterConfig config_;
   RealClusterOptions options_;
   Status init_status_ = Status::ok();
   std::vector<Node> nodes_;

@@ -33,8 +33,7 @@ std::string RealReplica::status_json() {
   std::string out = "{";
   out += "\"node\":" + std::to_string(config().replica.id);
   out += ",\"protocol\":\"";
-  out += config().protocol == runtime::ProtocolKind::kMarlin ? "marlin"
-                                                             : "hotstuff";
+  out += runtime::protocol_name(config().protocol);
   out += "\"";
   out += ",\"view\":" + std::to_string(protocol().current_view());
   out += ",\"committed_height\":" +

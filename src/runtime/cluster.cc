@@ -8,21 +8,34 @@
 
 namespace marlin::runtime {
 
+namespace {
+
+/// Pre-sizes an engine's event heaps and timer slabs, split over `shards`
+/// queues, from the cluster's fanout: a leader broadcast plus replies
+/// keeps O(n) messages in flight per protocol phase, and clients add a
+/// window each; 64 events/node absorbs several overlapping phases plus
+/// CPU/storage charging events. Capacity only: pop order is unaffected.
+template <typename Engine>
+void reserve_for_fanout(Engine& engine, const ClusterConfig& config,
+                        std::size_t shards) {
+  const std::size_t nodes = 3 * config.f + 1 + config.clients.count;
+  engine.reserve(nodes * 64 / shards + 256, nodes * 4 / shards + 64);
+}
+
+}  // namespace
+
 Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
-    : config_(std::move(config)) {
+    : Deployment(std::move(config)) {
   EngineBinding engine;
   engine.control = &sim;
   engine.node_sched = [&sim](sim::NodeId) { return &sim; };
   engine.setup_rng = &sim.rng();
-  // Same fanout heuristic as the sharded root, on the single global queue
-  // (capacity only; pop order and goldens are unaffected).
-  const std::size_t nodes = 3 * config_.f + 1 + config_.clients.count;
-  sim.reserve(nodes * 64 + 256, nodes * 4 + 64);
+  reserve_for_fanout(sim, config_, 1);
   build(engine);
 }
 
 Cluster::Cluster(sim::ShardedSimulator& engine, ClusterConfig config)
-    : config_(std::move(config)) {
+    : Deployment(std::move(config)) {
   // Conservative-window safety: no message may arrive sooner than one
   // lookahead after it was sent.
   assert(engine.lookahead() <= config_.net.one_way_delay);
@@ -41,26 +54,19 @@ Cluster::Cluster(sim::ShardedSimulator& engine, ClusterConfig config)
     if (config_.trace == nullptr) config_.trace = engine.control_trace();
   }
   binding.per_sender_net_rng = true;
-  // Pre-size shard heaps/slabs from the cluster's fanout: a leader
-  // broadcast plus replies keeps O(n) messages in flight per protocol
-  // phase, and clients add a window each. 64 events/node absorbs several
-  // overlapping phases plus CPU/storage charging events.
-  const std::uint32_t n = 3 * config_.f + 1;
-  const std::size_t nodes = n + config_.clients.count;
-  engine.reserve(/*events_per_shard=*/nodes * 64 / engine.shards() + 256,
-                 /*timers_per_shard=*/nodes * 4 / engine.shards() + 64);
+  reserve_for_fanout(engine, config_, engine.shards());
   build(binding);
 }
 
 Cluster::Cluster(const EngineBinding& engine, ClusterConfig config)
-    : config_(std::move(config)) {
+    : Deployment(std::move(config)) {
   build(engine);
 }
 
 void Cluster::build(const EngineBinding& engine) {
   control_ = engine.control;
   sched_of_ = engine.node_sched;
-  const std::uint32_t n = 3 * config_.f + 1;
+  const std::uint32_t n = this->n();
   // Fork order (network stream first, client streams later, in id order)
   // is part of the determinism contract the golden traces pin.
   net_ = std::make_unique<sim::Network>(*control_, config_.net,
@@ -111,17 +117,12 @@ void Cluster::build(const EngineBinding& engine) {
 void Cluster::start() {
   faults_->arm();
   for (auto& r : replicas_) r->start();
-  // Clients begin shortly after the replicas have entered view 1, with
-  // staggered starts: synchronized closed-loop clients otherwise refill in
-  // lockstep "generations" that quantize throughput measurements. Each
-  // start is posted on the client's home scheduler so it runs on the
-  // client's shard (the global queue, when there is only one).
-  for (std::size_t c = 0; c < clients_.size(); ++c) {
+  // Each client start is posted on the client's home scheduler so it runs
+  // on the client's shard (the global queue, when there is only one).
+  for (ClientId c = 0; c < client_count(); ++c) {
     ClientHost* client = clients_[c].get();
-    sched_of_(n() + static_cast<sim::NodeId>(c))
-        ->post(Duration::millis(5) +
-                   Duration::millis(41) * static_cast<std::int64_t>(c),
-               [client] { client->start(); });
+    sched_of_(n() + c)->post(client_start_delay(c),
+                             [client] { client->start(); });
   }
 }
 
@@ -146,35 +147,6 @@ ViewNumber Cluster::max_view() const {
   return v;
 }
 
-void Cluster::set_measurement_window(TimePoint start, TimePoint end) {
-  for (auto& c : clients_) c->completed().set_window(start, end);
-  for (auto& r : replicas_) r->committed_ops().set_window(start, end);
-}
-
-double Cluster::client_throughput() const {
-  double total = 0;
-  for (const auto& c : clients_) total += c->completed().rate_per_second();
-  return total;
-}
-
-double Cluster::latency_ms(double percentile) const {
-  std::vector<const LatencyHistogram*> lat;
-  for (const auto& c : clients_) lat.push_back(&c->latency());
-  return pooled_latency(lat).percentile(percentile).as_millis_f();
-}
-
-double Cluster::mean_latency_ms() const {
-  std::vector<const LatencyHistogram*> lat;
-  for (const auto& c : clients_) lat.push_back(&c->latency());
-  return pooled_latency(lat).mean().as_millis_f();
-}
-
-std::uint64_t Cluster::total_completed() const {
-  std::uint64_t total = 0;
-  for (const auto& c : clients_) total += c->completed().in_window();
-  return total;
-}
-
 void Cluster::export_metrics(obs::MetricsRegistry& out) const {
   char label[32];
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
@@ -188,112 +160,6 @@ void Cluster::export_metrics(obs::MetricsRegistry& out) const {
     out.latency("client.latency").merge_from(c->latency());
   }
   net_->export_metrics(out);
-}
-
-std::vector<const consensus::ReplicaBase*> Cluster::protocols(
-    bool live_only) const {
-  std::vector<const consensus::ReplicaBase*> out;
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const bool down = net_->is_down(static_cast<sim::NodeId>(i));
-    out.push_back(live_only && down ? nullptr : &replicas_[i]->protocol());
-  }
-  return out;
-}
-
-bool Cluster::any_safety_violation() const {
-  return runtime::any_safety_violation(protocols(/*live_only=*/false));
-}
-
-bool Cluster::committed_heights_consistent() const {
-  return runtime::committed_heights_consistent(protocols(/*live_only=*/true));
-}
-
-// ---------------------------------------------------------------------------
-// Shared by the sim and metal clusters
-// ---------------------------------------------------------------------------
-
-ReplicaHostConfig make_replica_config(const ClusterConfig& config,
-                                      ReplicaId id) {
-  const ConsensusConfig& cons = config.consensus;
-  ReplicaHostConfig rc;
-  rc.replica.id = id;
-  rc.replica.quorum = QuorumParams::for_f(config.f);
-  rc.replica.max_batch_ops = cons.max_batch_ops;
-  rc.replica.pipelined = cons.pipelined;
-  rc.replica.allow_empty_blocks = cons.allow_empty_blocks;
-  rc.replica.disable_happy_path = cons.disable_happy_path;
-  rc.replica.use_threshold_sigs = cons.use_threshold_sigs;
-  rc.protocol = cons.protocol;
-  rc.crypto_costs = config.crypto_costs;
-  rc.storage_costs = config.storage_costs;
-  rc.pacemaker = cons.pacemaker;
-  rc.checkpoint_interval = cons.checkpoint_interval;
-  rc.reply_size = cons.reply_size;
-  rc.disable_persistence = cons.disable_persistence;
-  return rc;
-}
-
-ClientHostConfig make_client_config(const ClusterConfig& config, ClientId id) {
-  ClientHostConfig cc;
-  cc.id = id;
-  cc.quorum = QuorumParams::for_f(config.f);
-  cc.window = config.clients.window;
-  cc.payload_size = config.clients.payload_size;
-  cc.retransmit_timeout = config.clients.retransmit_timeout;
-  cc.max_requests = config.clients.max_requests;
-  return cc;
-}
-
-std::unique_ptr<crypto::SignatureSuite> make_cluster_suite(
-    const ClusterConfig& config) {
-  Bytes seed_bytes(8);
-  for (int i = 0; i < 8; ++i) {
-    seed_bytes[i] = static_cast<std::uint8_t>(config.seed >> (8 * i));
-  }
-  return crypto::make_fast_suite(3 * config.f + 1, seed_bytes);
-}
-
-bool any_safety_violation(
-    const std::vector<const consensus::ReplicaBase*>& replicas) {
-  return std::any_of(replicas.begin(), replicas.end(), [](const auto* p) {
-    return p != nullptr && p->safety_violated();
-  });
-}
-
-bool committed_heights_consistent(
-    const std::vector<const consensus::ReplicaBase*>& replicas) {
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    if (replicas[i] == nullptr) continue;
-    for (std::size_t j = i + 1; j < replicas.size(); ++j) {
-      if (replicas[j] == nullptr) continue;
-      const auto& a = *replicas[i];
-      const auto& b = *replicas[j];
-      const auto& lo = a.committed_height() <= b.committed_height() ? a : b;
-      const auto& hi = a.committed_height() <= b.committed_height() ? b : a;
-      if (lo.committed_height() == 0) continue;
-      if (!hi.store().extends(hi.committed_hash(), lo.committed_hash())) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-void merge_replica_metrics(obs::MetricsRegistry& out,
-                           const obs::MetricsRegistry& replica, ReplicaId id) {
-  out.merge_from(replica);
-  char label[32];
-  std::snprintf(label, sizeof label, "replica=%u", id);
-  for (const auto& [key, value] : replica.gauges()) {
-    out.gauge(key.name, label) = value;
-  }
-}
-
-LatencyHistogram pooled_latency(
-    const std::vector<const LatencyHistogram*>& clients) {
-  LatencyHistogram merged;
-  for (const LatencyHistogram* h : clients) merged.merge_from(*h);
-  return merged;
 }
 
 }  // namespace marlin::runtime

@@ -1,99 +1,21 @@
 // Full simulated deployment: n replicas + m closed-loop clients over one
 // simnet Network, sharing a signature suite, with an optional declarative
 // fault plan executed by a faults::FaultController. This is the testbed
-// every integration test, example, and benchmark drives.
+// every integration test, example, and benchmark drives. Its config and
+// metrology come from runtime::Deployment (deployment.h), shared with the
+// real-socket realnet::RealCluster.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "faults/fault_controller.h"
-#include "runtime/client_host.h"
-#include "runtime/replica_host.h"
+#include "runtime/deployment.h"
 #include "simnet/sharded.h"
 
 namespace marlin::runtime {
 
-/// Protocol-level knobs applied uniformly to every replica.
-struct ConsensusConfig {
-  ProtocolKind protocol = ProtocolKind::kMarlin;
-  PacemakerConfig pacemaker;
-  std::size_t max_batch_ops = 4000;
-  bool pipelined = true;
-  bool allow_empty_blocks = false;
-  bool disable_happy_path = false;
-  bool use_threshold_sigs = false;
-  std::uint64_t checkpoint_interval = 5000;
-  std::size_t reply_size = 150;
-  /// TEST ONLY: disable the write-ahead-voting durability hook on every
-  /// replica (simulates a broken build; the cross-restart safety oracle
-  /// must catch the resulting double votes).
-  bool disable_persistence = false;
-};
-
-/// Workload knobs applied uniformly to every closed-loop client.
-struct ClientConfig {
-  std::uint32_t count = 8;
-  std::uint32_t window = 16;
-  std::size_t payload_size = 150;
-  Duration retransmit_timeout = Duration::seconds(4);
-  /// Stop issuing new requests after this many per client (0 = unlimited).
-  std::uint64_t max_requests = 0;
-};
-
-struct ClusterConfig {
-  std::uint32_t f = 1;
-  std::uint64_t seed = 42;
-
-  ConsensusConfig consensus;
-  ClientConfig clients;
-  sim::NetConfig net;
-  crypto::CostModel crypto_costs;
-  storage::CostModel storage_costs;
-
-  /// Declarative fault timeline, armed at start(). Empty = fault-free run.
-  faults::FaultPlan faults;
-
-  /// Shared protocol event trace for all replicas, the network, and
-  /// storage. The cluster binds its clock to the simulator. Optional.
-  obs::TraceSink* trace = nullptr;
-  /// Count outgoing authenticators per replica (decodes every send; used
-  /// by the Table I bench and metric snapshots that cross-check it).
-  bool count_authenticators = false;
-};
-
-// -- Shared by the sim cluster and realnet::RealCluster ----------------------
-
-/// Host config of replica `id`: the protocol, pacemaker, cost and reply
-/// knobs of `config`. Callers add what is per-backend: the trace sink and,
-/// on metal, the data dir and sync_writes.
-ReplicaHostConfig make_replica_config(const ClusterConfig& config,
-                                      ReplicaId id);
-/// Host config of client `id` (trace sink left to the caller).
-ClientHostConfig make_client_config(const ClusterConfig& config, ClientId id);
-/// The cluster's signature suite, seeded from config.seed. Suites built
-/// from the same seed are identical.
-std::unique_ptr<crypto::SignatureSuite> make_cluster_suite(
-    const ClusterConfig& config);
-
-/// Cluster-wide probes over the replicas' protocols; null entries (replicas
-/// the caller skips) are ignored.
-bool any_safety_violation(
-    const std::vector<const consensus::ReplicaBase*>& replicas);
-/// All listed replicas agree on committed prefixes: for every pair, the
-/// lower committed hash is on the higher one's chain.
-bool committed_heights_consistent(
-    const std::vector<const consensus::ReplicaBase*>& replicas);
-/// Adds replica `id`'s registry into a cluster snapshot: counters add,
-/// histograms pool, gauges keep the max — and are re-exported under
-/// "replica=<id>", since summed gauges are meaningless.
-void merge_replica_metrics(obs::MetricsRegistry& out,
-                           const obs::MetricsRegistry& replica, ReplicaId id);
-/// The clients' latency distributions pooled into one.
-LatencyHistogram pooled_latency(
-    const std::vector<const LatencyHistogram*>& clients);
-
-class Cluster {
+class Cluster final : public Deployment {
  public:
   /// How a cluster binds to an event engine. The composition root (the
   /// ctor taking a concrete engine) fills this in; everything downstream —
@@ -128,15 +50,10 @@ class Cluster {
   /// Arms the fault plan, then starts all replicas, then all clients.
   void start();
 
-  std::uint32_t n() const { return config_.f * 3 + 1; }
-  std::uint32_t f() const { return config_.f; }
-  const ClusterConfig& config() const { return config_; }
-
   ReplicaHost& replica(ReplicaId i) { return *replicas_[i]; }
   const ReplicaHost& replica(ReplicaId i) const { return *replicas_[i]; }
   ClientHost& client(ClientId i) { return *clients_[i]; }
   sim::Network& network() { return *net_; }
-  std::size_t client_count() const { return clients_.size(); }
 
   /// Crash-stop a replica (it neither sends nor receives from now on).
   /// Prefer expressing faults in the config's FaultPlan; these imperative
@@ -162,31 +79,26 @@ class Cluster {
   ReplicaId current_leader() const;
   ViewNumber max_view() const;
 
-  // -- metrology -------------------------------------------------------------
-  void set_measurement_window(TimePoint start, TimePoint end);
-  /// Completed (f+1-acked) operations per second across all clients.
-  double client_throughput() const;
-  /// Aggregated client latency percentile (ms).
-  double latency_ms(double percentile) const;
-  double mean_latency_ms() const;
-  std::uint64_t total_completed() const;
-  bool any_safety_violation() const;
   /// Cluster-wide metrics snapshot: per-replica registries merged
   /// additively (gauges re-labeled "replica=N"), aggregate client latency
   /// ("client.latency"), and per-node / per-kind network traffic.
   void export_metrics(obs::MetricsRegistry& out) const;
-  /// All correct replicas agree on committed prefixes (checked via the
-  /// committed hash of the lowest common height — cheap invariant probe).
-  bool committed_heights_consistent() const;
 
  private:
+  ReplicaHost* replica_host(ReplicaId id) const override {
+    return replicas_[id].get();
+  }
+  ClientHost* client_host(ClientId id) const override {
+    return clients_[id].get();
+  }
+  /// Network-down (crash-stopped) replicas are not held to agreement.
+  bool skip_consistency(ReplicaId id) const override {
+    return net_->is_down(static_cast<sim::NodeId>(id));
+  }
   void build(const EngineBinding& engine);
-  /// Every replica's protocol, or only the live ones (null = down).
-  std::vector<const consensus::ReplicaBase*> protocols(bool live_only) const;
 
   marlin::Scheduler* control_ = nullptr;
   std::function<marlin::Scheduler*(sim::NodeId)> sched_of_;
-  ClusterConfig config_;
   std::unique_ptr<sim::Network> net_;
   std::unique_ptr<crypto::SignatureSuite> suite_;
   std::vector<std::unique_ptr<ReplicaHost>> replicas_;

@@ -155,7 +155,7 @@ ExperimentReport run_experiment(const ExperimentOptions& options) {
   rep.mean_latency_ms = cluster.mean_latency_ms();
   rep.p50_latency_ms = cluster.latency_ms(50);
   rep.p95_latency_ms = cluster.latency_ms(95);
-  rep.total_completed = cluster.total_completed();
+  rep.total_completed = cluster.completed_in_window();
   rep.safety_ok = !cluster.any_safety_violation();
   rep.consistent = cluster.committed_heights_consistent();
   rep.final_view = cluster.max_view();

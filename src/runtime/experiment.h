@@ -63,7 +63,7 @@ struct ExperimentReport {
   double mean_latency_ms = 0;
   double p50_latency_ms = 0;
   double p95_latency_ms = 0;
-  std::uint64_t total_completed = 0;
+  std::uint64_t total_completed = 0;  // ops completed inside the window
 
   // Invariants, checked after every run.
   bool safety_ok = true;    // no replica flagged a local safety violation

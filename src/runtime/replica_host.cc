@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
 namespace marlin::runtime {
@@ -10,10 +11,26 @@ using types::Envelope;
 using types::MsgKind;
 
 namespace {
+// The one protocol-name table, indexed by ProtocolKind.
+constexpr const char* kProtocolNames[] = {"marlin", "hotstuff"};
 // Durable consensus state (PersistentState) lives under a fixed key; the
 // write-ahead-voting hook overwrites it in place on every vote/lock change.
 constexpr const char* kPStateKey = "meta/pstate";
 }  // namespace
+
+const char* protocol_name(ProtocolKind kind) {
+  return kProtocolNames[static_cast<std::size_t>(kind)];
+}
+
+bool parse_protocol(std::string_view name, ProtocolKind* kind) {
+  for (std::size_t k = 0; k < std::size(kProtocolNames); ++k) {
+    if (name == kProtocolNames[k]) {
+      *kind = static_cast<ProtocolKind>(k);
+      return true;
+    }
+  }
+  return false;
+}
 
 ReplicaHost::ReplicaHost(std::unique_ptr<HostIo> io,
                          const crypto::SignatureSuite& suite,

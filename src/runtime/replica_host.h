@@ -11,6 +11,7 @@
 #include <compare>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
@@ -28,6 +29,13 @@
 namespace marlin::runtime {
 
 enum class ProtocolKind { kMarlin, kHotStuff };
+
+/// The protocol's name in flags, configs, reports and /status: "marlin" or
+/// "hotstuff".
+const char* protocol_name(ProtocolKind kind);
+/// Inverse of protocol_name; false (and `kind` untouched) for any other
+/// name.
+bool parse_protocol(std::string_view name, ProtocolKind* kind);
 
 struct ReplicaHostConfig {
   consensus::ReplicaConfig replica;

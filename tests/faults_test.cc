@@ -25,13 +25,10 @@ using runtime::ClusterConfig;
 using runtime::ExperimentOptions;
 using runtime::ExperimentReport;
 using runtime::ProtocolKind;
+using runtime::protocol_name;
 
 constexpr ProtocolKind kBothProtocols[] = {ProtocolKind::kMarlin,
                                            ProtocolKind::kHotStuff};
-
-const char* protocol_name(ProtocolKind p) {
-  return p == ProtocolKind::kMarlin ? "marlin" : "hotstuff";
-}
 
 /// A plan exercising every action kind and every optional field.
 FaultPlan all_kinds_plan() {

@@ -21,6 +21,7 @@
 #include "realnet/real_cluster.h"
 #include "realnet/tcp_transport.h"
 #include "realnet/timer_wheel.h"
+#include "runtime/cluster.h"
 
 namespace marlin::realnet {
 namespace {
@@ -479,6 +480,65 @@ TEST(RealCluster, CommitsClientOpsOverTcp) {
   for (std::uint32_t i = 0; i < cluster.n(); ++i) {
     EXPECT_GT(cluster.node_stats(i).bytes_delivered, 0u) << "replica " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// One metrology on both backends (runtime::Deployment)
+// ---------------------------------------------------------------------------
+
+constexpr Duration kContractWarmup = Duration::millis(500);
+constexpr Duration kContractWindow = Duration::millis(1500);
+
+// Every number a report reads, asserted through the base both clusters
+// share. `clients_in_window` is the clients' own in-window counts, summed
+// by the caller through its concrete cluster.
+void expect_one_metrology(const runtime::Deployment& d,
+                          std::uint64_t clients_in_window) {
+  EXPECT_GT(d.completed_in_window(), 0u);
+  EXPECT_EQ(d.completed_in_window(), clients_in_window);
+  EXPECT_NEAR(static_cast<double>(d.completed_in_window()),
+              d.client_throughput() * kContractWindow.as_seconds_f(), 1.0);
+  // Ops also commit during warmup; the all-time count includes them.
+  EXPECT_GT(d.total_completed(), d.completed_in_window());
+  EXPECT_LE(d.latency_ms(50), d.latency_ms(99));
+  EXPECT_FALSE(d.any_safety_violation());
+  EXPECT_TRUE(d.committed_heights_consistent());
+  EXPECT_GT(d.min_committed_height(), 0u);
+}
+
+TEST(Deployment, SimAndMetalShareOneMetrology) {
+  runtime::ClusterConfig cfg = quick_cluster_config(1);
+  cfg.net.one_way_delay = Duration::micros(50);  // the sim models localhost
+
+  sim::Simulator sim(cfg.seed);
+  runtime::Cluster simulated(sim, cfg);
+  const TimePoint w_start = TimePoint::origin() + kContractWarmup;
+  simulated.set_measurement_window(w_start, w_start + kContractWindow);
+  simulated.start();
+  sim.run_until(w_start + kContractWindow);
+  std::uint64_t sim_window = 0;
+  for (ClientId c = 0; c < simulated.client_count(); ++c) {
+    sim_window += simulated.client(c).completed().in_window();
+  }
+  {
+    SCOPED_TRACE("sim");
+    expect_one_metrology(simulated, sim_window);
+  }
+
+  RealCluster metal(cfg);
+  ASSERT_TRUE(metal.ok().is_ok()) << metal.ok().message();
+  const TimePoint t0 = mono_now() + kContractWarmup;
+  metal.set_measurement_window(t0, t0 + kContractWindow);
+  metal.start();
+  std::this_thread::sleep_for(std::chrono::nanoseconds(
+      (t0 + kContractWindow - mono_now()).as_nanos()));
+  metal.stop();
+  std::uint64_t metal_window = 0;
+  for (ClientId c = 0; c < metal.client_count(); ++c) {
+    metal_window += metal.client(c).completed().in_window();
+  }
+  SCOPED_TRACE("metal");
+  expect_one_metrology(metal, metal_window);
 }
 
 TEST(RealCluster, CleanShutdownDrainsEgress) {

@@ -24,13 +24,10 @@ using faults::FaultAction;
 using runtime::ClusterConfig;
 using runtime::Cluster;
 using runtime::ProtocolKind;
+using runtime::protocol_name;
 
 constexpr ProtocolKind kBothProtocols[] = {ProtocolKind::kMarlin,
                                            ProtocolKind::kHotStuff};
-
-const char* protocol_name(ProtocolKind p) {
-  return p == ProtocolKind::kMarlin ? "marlin" : "hotstuff";
-}
 
 ClusterConfig base_config(ProtocolKind protocol) {
   ClusterConfig cfg;

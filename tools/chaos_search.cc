@@ -88,6 +88,10 @@ bool parse_options(int argc, char** argv, Options* opt) {
     } else if (args.u32("--jobs", &opt->jobs)) {
       if (opt->jobs == 0) opt->jobs = 1;
     } else if (args.str("--protocol", &opt->protocol)) {
+      if (runtime::ProtocolKind kind; opt->protocol != "both" &&
+          !runtime::parse_protocol(opt->protocol, &kind)) {
+        args.fail_value("--protocol", opt->protocol, "marlin|hotstuff|both");
+      }
     } else if (args.u64("--seed", &opt->seed)) {
     } else if (args.u32("--f", &opt->f)) {
     } else if (args.i64("--horizon-ms", &opt->horizon_ms)) {
@@ -103,11 +107,6 @@ bool parse_options(int argc, char** argv, Options* opt) {
     }
   }
   if (!args.ok()) return false;
-  if (opt->protocol != "marlin" && opt->protocol != "hotstuff" &&
-      opt->protocol != "both") {
-    std::fprintf(stderr, "unknown protocol '%s'\n", opt->protocol.c_str());
-    return false;
-  }
   if (opt->replay >= 0 && opt->protocol == "both") {
     std::fprintf(stderr, "--replay needs a single --protocol\n");
     return false;
@@ -303,9 +302,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<runtime::ProtocolKind> protocols;
-  if (opt.protocol != "hotstuff") protocols.push_back(runtime::ProtocolKind::kMarlin);
-  if (opt.protocol != "marlin") protocols.push_back(runtime::ProtocolKind::kHotStuff);
+  // "both" sweeps Marlin, then HotStuff.
+  std::vector<runtime::ProtocolKind> protocols = {
+      runtime::ProtocolKind::kMarlin, runtime::ProtocolKind::kHotStuff};
+  if (runtime::ProtocolKind one; runtime::parse_protocol(opt.protocol, &one)) {
+    protocols = {one};
+  }
 
   // -- replay mode: one schedule, full artifacts --------------------------
   if (opt.replay >= 0) {
@@ -376,10 +378,9 @@ int main(int argc, char** argv) {
   // emitted by item position, so --jobs N output is identical to --jobs 1.
   std::vector<SweepItem> items;
   for (runtime::ProtocolKind protocol : protocols) {
-    const char* pname =
-        protocol == runtime::ProtocolKind::kMarlin ? "marlin" : "hotstuff";
     for (std::uint32_t i = 0; i < opt.plans; ++i) {
-      items.push_back(SweepItem{protocol, pname, i});
+      items.push_back(
+          SweepItem{protocol, runtime::protocol_name(protocol), i});
     }
   }
 

@@ -109,19 +109,6 @@ bool parse_crash(const std::string& v, bool relaunch, Options* opt) {
   return true;
 }
 
-bool parse_protocol(const std::string& name, runtime::ProtocolKind* kind) {
-  if (name == "marlin") {
-    *kind = runtime::ProtocolKind::kMarlin;
-    return true;
-  }
-  if (name == "hotstuff") {
-    *kind = runtime::ProtocolKind::kHotStuff;
-    return true;
-  }
-  std::fprintf(stderr, "unknown protocol '%s'\n", name.c_str());
-  return false;
-}
-
 /// Applies a parsed JSON config document onto `cluster`. Field names mirror
 /// the ClusterConfig struct; absent fields keep their current values.
 bool apply_config(const json::Object& doc, runtime::ClusterConfig* cluster) {
@@ -129,7 +116,9 @@ bool apply_config(const json::Object& doc, runtime::ClusterConfig* cluster) {
   cluster->seed = static_cast<std::uint64_t>(
       json::get_num(doc, "seed", static_cast<double>(cluster->seed)));
   if (const std::string name = json::get_str(doc, "protocol", "");
-      !name.empty() && !parse_protocol(name, &cluster->consensus.protocol)) {
+      !name.empty() &&
+      !runtime::parse_protocol(name, &cluster->consensus.protocol)) {
+    std::fprintf(stderr, "bad config: unknown protocol '%s'\n", name.c_str());
     return false;
   }
   if (const json::Object* c = json::get_object(doc, "clients")) {
@@ -226,7 +215,9 @@ bool parse_options(int argc, char** argv, Options* opt) {
     } else if (args.str("--config", &v)) {
       // handled above
     } else if (args.str("--protocol", &v)) {
-      if (!parse_protocol(v, &opt->cluster.consensus.protocol)) return false;
+      if (!runtime::parse_protocol(v, &opt->cluster.consensus.protocol)) {
+        args.fail_value("--protocol", v, "marlin|hotstuff");
+      }
     } else if (args.u32("--f", &opt->cluster.f)) {
     } else if (args.u32("--clients", &opt->cluster.clients.count)) {
     } else if (args.u32("--window", &opt->cluster.clients.window)) {
@@ -287,9 +278,7 @@ std::string metrics_json(const RealCluster& cluster, const Options& opt,
       "\"safety_ok\":%s,\"consistent\":%s,\"relaunch_ok\":%s,"
       "\"wire_bytes_sent\":%llu,\"wire_bytes_delivered\":%llu,"
       "\"wire_messages_dropped\":%llu}",
-      cluster.config().consensus.protocol == runtime::ProtocolKind::kMarlin
-          ? "marlin"
-          : "hotstuff",
+      runtime::protocol_name(cluster.config().consensus.protocol),
       cluster.n(), cluster.client_count(), opt.cluster.clients.window,
       opt.seconds, cluster.client_throughput(), cluster.latency_ms(50),
       cluster.latency_ms(99), cluster.mean_latency_ms(),
@@ -414,9 +403,7 @@ int main(int argc, char** argv) {
       "completed: %llu ops  min committed height: %llu  safety: %s  "
       "consistent: %s\n"
       "wire: %.2f MB sent, %.2f MB delivered, %llu dropped\n",
-      opt.cluster.consensus.protocol == runtime::ProtocolKind::kMarlin
-          ? "marlin"
-          : "hotstuff",
+      runtime::protocol_name(cluster.config().consensus.protocol),
       cluster.n(), cluster.client_count(), opt.cluster.clients.window,
       opt.seconds, cluster.client_throughput(), cluster.latency_ms(50),
       cluster.latency_ms(99), cluster.mean_latency_ms(),

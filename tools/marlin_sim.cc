@@ -115,11 +115,7 @@ bool parse_options(int argc, char** argv, Options* opt) {
     if (args.flag("--help")) {
       opt->help = true;
     } else if (args.str("--protocol", &v)) {
-      if (v == "marlin") {
-        opt->cluster.consensus.protocol = ProtocolKind::kMarlin;
-      } else if (v == "hotstuff") {
-        opt->cluster.consensus.protocol = ProtocolKind::kHotStuff;
-      } else {
+      if (!runtime::parse_protocol(v, &opt->cluster.consensus.protocol)) {
         args.fail_value("--protocol", v, "marlin|hotstuff");
       }
     } else if (args.u32("--f", &opt->cluster.f)) {
