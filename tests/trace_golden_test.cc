@@ -1,12 +1,18 @@
 // Golden protocol traces: the exact consensus event sequence for a
 // 4-replica happy-path commit is pinned for Marlin and HotStuff, and the
 // full trace is byte-identical across same-seed runs (the determinism
-// property the observability layer is designed around).
+// property the observability layer is designed around). Fault-driven runs
+// (view changes, restarts, amnesia recovery, an equivocating leader) are
+// pinned by the SHA-256 of their full trace.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "consensus/hotstuff.h"
+#include "consensus/marlin.h"
+#include "crypto/sha256.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "runtime/cluster.h"
@@ -19,6 +25,8 @@ using obs::TraceEvent;
 using runtime::Cluster;
 using runtime::ClusterConfig;
 using runtime::ProtocolKind;
+using faults::ByzantineMode;
+using faults::FaultAction;
 
 ClusterConfig tiny_config(ProtocolKind protocol) {
   ClusterConfig cfg;
@@ -159,6 +167,156 @@ TEST(GoldenTrace, DifferentSeedsDiverge) {
   cfg.seed = 8;
   const std::string b = run_traced(cfg, 3, &b_sink);
   EXPECT_NE(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Non-happy paths: full-trace fingerprints
+// ---------------------------------------------------------------------------
+
+ClusterConfig faulted_config(ProtocolKind protocol) {
+  ClusterConfig cfg;
+  cfg.f = 1;
+  cfg.seed = 11;
+  cfg.consensus.protocol = protocol;
+  cfg.consensus.pacemaker.base_timeout = Duration::millis(600);
+  cfg.clients.count = 2;
+  cfg.clients.window = 4;
+  return cfg;
+}
+
+using CoverageCheck =
+    std::function<void(Cluster&, const std::vector<TraceEvent>&)>;
+
+/// Runs `cfg` (its fault plan included) for `secs` simulated seconds and
+/// returns the hex SHA-256 of the full JSONL trace. `covered` asserts that
+/// the run really went down the path its pin is meant to cover.
+std::string trace_fingerprint(ClusterConfig cfg, int secs,
+                              const CoverageCheck& covered) {
+  obs::TraceSink sink{1u << 20};
+  sim::Simulator sim(cfg.seed);
+  cfg.trace = &sink;
+  Cluster cluster(sim, cfg);
+  cluster.start();
+  sim.run_for(Duration::seconds(secs));
+  EXPECT_FALSE(cluster.any_safety_violation());
+  EXPECT_EQ(sink.size(), sink.total_recorded()) << "trace ring evicted";
+  covered(cluster, sink.events());
+  const std::string jsonl = obs::trace_to_jsonl(sink);
+  return crypto::Sha256::digest(
+             BytesView(reinterpret_cast<const std::uint8_t*>(jsonl.data()),
+                       jsonl.size()))
+      .to_hex();
+}
+
+std::uint64_t sum_over_replicas(
+    Cluster& cluster,
+    const std::function<std::uint64_t(runtime::ReplicaHost&)>& f) {
+  std::uint64_t total = 0;
+  for (ReplicaId i = 0; i < cluster.n(); ++i) total += f(cluster.replica(i));
+  return total;
+}
+
+/// A snapshot suffix was applied by `node` (kStateTransfer a == 2).
+bool snapshot_applied(const std::vector<TraceEvent>& events, ReplicaId node) {
+  for (const TraceEvent& e : events) {
+    if (e.type == EventType::kStateTransfer && e.a == 2 && e.node == node) {
+      return true;
+    }
+  }
+  return false;
+}
+
+ClusterConfig restart_and_wipe(ProtocolKind protocol) {
+  ClusterConfig cfg = faulted_config(protocol);
+  cfg.faults.actions = {
+      FaultAction::restart(Duration::millis(800), 2, Duration::millis(400)),
+      FaultAction::wipe_disk(Duration::millis(1800), 3, Duration::millis(600)),
+  };
+  return cfg;
+}
+
+ClusterConfig equivocating_leader(ProtocolKind protocol) {
+  ClusterConfig cfg = faulted_config(protocol);
+  cfg.faults.actions = {
+      FaultAction::byzantine(Duration::zero(), 1, ByzantineMode::kEquivocate),
+  };
+  return cfg;
+}
+
+// Replica 2 restarted from disk; replica 3 revived amnesiac and re-anchored
+// on a peer's snapshot (adopt_recovery_tip).
+void check_restart_and_wipe(Cluster& c, const std::vector<TraceEvent>& ev) {
+  EXPECT_GT(c.replica(2).restarts(), 0u);
+  EXPECT_GT(c.replica(3).restarts(), 0u);
+  EXPECT_TRUE(snapshot_applied(ev, 3));
+  EXPECT_FALSE(c.replica(3).protocol().recovering());
+}
+
+void check_equivocation(Cluster& c, const std::vector<TraceEvent>&) {
+  EXPECT_GT(c.replica(1).byzantine().interventions(), 0u);
+  EXPECT_GT(c.min_committed_height(), 0u);
+}
+
+// The pinned digests must only change with a deliberate change of
+// protocol behaviour; a refactor of the consensus code keeps them.
+TEST(GoldenTrace, NonHappyPathFingerprints) {
+  ClusterConfig marlin_crash = faulted_config(ProtocolKind::kMarlin);
+  marlin_crash.faults.actions = {
+      FaultAction::crash_leader(Duration::seconds(1))};
+  ClusterConfig marlin_unhappy = marlin_crash;
+  marlin_unhappy.consensus.disable_happy_path = true;
+  ClusterConfig hotstuff_crash = faulted_config(ProtocolKind::kHotStuff);
+  hotstuff_crash.faults.actions = marlin_crash.faults.actions;
+
+  struct Case {
+    const char* name;
+    ClusterConfig cfg;
+    int secs;
+    CoverageCheck covered;
+    const char* sha256;
+  };
+  const std::vector<Case> cases = {
+      {"marlin-happy-vc", marlin_crash, 4,
+       [](Cluster& c, const std::vector<TraceEvent>&) {
+         EXPECT_GT(sum_over_replicas(c, [](runtime::ReplicaHost& r) {
+                     return r.marlin()->happy_view_changes();
+                   }),
+                   0u);
+       },
+       "501bf9840c8242e52bbad7f46f21f080783290dc9ea2e6a38fe8e6d680e87a1f"},
+      {"marlin-unhappy-vc", marlin_unhappy, 4,
+       [](Cluster& c, const std::vector<TraceEvent>&) {
+         EXPECT_GT(sum_over_replicas(c, [](runtime::ReplicaHost& r) {
+                     return r.marlin()->unhappy_view_changes();
+                   }),
+                   0u);
+       },
+       "e3e708066e895741390b6c73d2f5ca80f3337c1de58a0e8ada493607999033f8"},
+      {"hotstuff-new-view", hotstuff_crash, 4,
+       [](Cluster& c, const std::vector<TraceEvent>&) {
+         EXPECT_GT(sum_over_replicas(c, [](runtime::ReplicaHost& r) {
+                     return r.hotstuff()->view_changes_led();
+                   }),
+                   0u);
+       },
+       "3e2acfb55b5d3c8c12a335a9c741b235cc9c82228ada8a42d530de591d662932"},
+      {"marlin-restart-wipe", restart_and_wipe(ProtocolKind::kMarlin), 4,
+       check_restart_and_wipe,
+       "d309409844410364c7fbb9443813348816d25b182aba7320229c59541f86e83c"},
+      {"hotstuff-restart-wipe", restart_and_wipe(ProtocolKind::kHotStuff), 4,
+       check_restart_and_wipe,
+       "81237e33895356033b25c19667008665442edfc1fc156d5be22ce944d7eebb7a"},
+      {"marlin-equivocate", equivocating_leader(ProtocolKind::kMarlin), 3,
+       check_equivocation,
+       "01e8e12ebab06924f56ea09b1ac2ad2aae25f3f6561c139c1e6ae7af42d8e29f"},
+      {"hotstuff-equivocate", equivocating_leader(ProtocolKind::kHotStuff), 3,
+       check_equivocation,
+       "fa03fbc96db1aa8e38a6834117f1e22ff1f00879c3a90cd7f341f258c60e5e54"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(trace_fingerprint(c.cfg, c.secs, c.covered), c.sha256);
+  }
 }
 
 }  // namespace
