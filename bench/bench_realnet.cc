@@ -8,9 +8,10 @@
 //          backends model the same deployment;
 //   metal  src/realnet — real threads, real epoll, real 127.0.0.1 TCP.
 //
-// Prints one row per (n, backend) — throughput, latency percentiles, and
-// getrusage CPU/context-switch deltas — and writes the comparison as JSON
-// (schema marlin/realnet/v2, with the producing host's core count); the
+// Prints one row per (n, backend) — throughput, latency percentiles,
+// getrusage CPU/context-switch deltas, and the host-wide CPU steal time —
+// and writes the comparison as JSON (schema marlin/realnet/v3, with the
+// producing host's core count); the
 // repo pins a representative run as BENCH_realnet.json. Wall-clock metal
 // numbers are machine-dependent, so CI only smoke-runs --quick and checks
 // that the artifact is written. Every row reads the same runtime::Deployment
@@ -21,6 +22,7 @@
 //   bench_realnet --quick              # short windows, n = 4 only
 //   bench_realnet --out=PATH           # also write the JSON artifact
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -52,17 +54,38 @@ struct Row {
   double cpu_s = 0;
   std::uint64_t vol_ctx_switches = 0;
   std::uint64_t invol_ctx_switches = 0;
+  // CPU time the hypervisor gave other guests while this host's vCPUs
+  // wanted to run, summed over all vCPUs (/proc/stat, host-wide). A row
+  // with low cpu_s and high steal_s ran on a starved host.
+  double steal_s = 0;
 };
 
 struct UsageSnap {
   double cpu_s = 0;
   std::uint64_t nvcsw = 0;
   std::uint64_t nivcsw = 0;
+  double steal_s = 0;
 };
+
+/// Host-wide steal time so far: the 8th column (`steal`) of the aggregate
+/// `cpu` line of /proc/stat, in seconds; 0 when it cannot be read.
+double host_steal_s() {
+  std::FILE* f = std::fopen("/proc/stat", "r");
+  if (!f) return 0;
+  unsigned long long col[8] = {};
+  const int got = std::fscanf(f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu",
+                              &col[0], &col[1], &col[2], &col[3], &col[4],
+                              &col[5], &col[6], &col[7]);
+  std::fclose(f);
+  const long ticks_per_s = sysconf(_SC_CLK_TCK);
+  if (got != 8 || ticks_per_s <= 0) return 0;
+  return static_cast<double>(col[7]) / static_cast<double>(ticks_per_s);
+}
 
 UsageSnap usage_now() {
   struct rusage ru;
   UsageSnap s;
+  s.steal_s = host_steal_s();
   if (getrusage(RUSAGE_SELF, &ru) != 0) return s;
   auto tv_s = [](const timeval& tv) {
     return static_cast<double>(tv.tv_sec) +
@@ -79,6 +102,7 @@ void fill_usage(Row* row, const UsageSnap& before) {
   row->cpu_s = after.cpu_s - before.cpu_s;
   row->vol_ctx_switches = after.nvcsw - before.nvcsw;
   row->invol_ctx_switches = after.nivcsw - before.nivcsw;
+  row->steal_s = after.steal_s - before.steal_s;
 }
 
 /// The workload both backends run: identical consensus + client settings;
@@ -161,12 +185,13 @@ Row run_metal(std::uint32_t f, Duration warmup, Duration measure) {
 }
 
 void print_row(const Row& r) {
-  std::printf("%4u  %-6s %12.1f %10.2f %10.2f %10.2f %12llu %8.2f %8llu %8llu  %s\n",
-              r.n, r.backend, r.throughput_ops, r.p50_ms, r.p95_ms, r.mean_ms,
-              static_cast<unsigned long long>(r.completed), r.cpu_s,
-              static_cast<unsigned long long>(r.vol_ctx_switches),
-              static_cast<unsigned long long>(r.invol_ctx_switches),
-              r.ok ? "ok" : "FAIL");
+  std::printf(
+      "%4u  %-6s %12.1f %10.2f %10.2f %10.2f %12llu %8.2f %8llu %8llu %8.2f  %s\n",
+      r.n, r.backend, r.throughput_ops, r.p50_ms, r.p95_ms, r.mean_ms,
+      static_cast<unsigned long long>(r.completed), r.cpu_s,
+      static_cast<unsigned long long>(r.vol_ctx_switches),
+      static_cast<unsigned long long>(r.invol_ctx_switches), r.steal_s,
+      r.ok ? "ok" : "FAIL");
 }
 
 std::string row_json(const Row& r) {
@@ -176,13 +201,13 @@ std::string row_json(const Row& r) {
                 "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"mean_ms\":%.3f,"
                 "\"completed\":%llu,\"cpu_s\":%.3f,"
                 "\"vol_ctx_switches\":%llu,\"invol_ctx_switches\":%llu,"
-                "\"ok\":%s}",
+                "\"steal_s\":%.3f,\"ok\":%s}",
                 r.n, r.backend, r.throughput_ops, r.p50_ms, r.p95_ms,
                 r.mean_ms, static_cast<unsigned long long>(r.completed),
                 r.cpu_s,
                 static_cast<unsigned long long>(r.vol_ctx_switches),
                 static_cast<unsigned long long>(r.invol_ctx_switches),
-                r.ok ? "true" : "false");
+                r.steal_s, r.ok ? "true" : "false");
   return buf;
 }
 
@@ -214,9 +239,9 @@ int main(int argc, char** argv) {
   std::printf(
       "bench_realnet — same workload, two transports (sim vs localhost TCP)\n"
       "clients=4 window=16 payload=150B; sim net: 50us one-way, 10 Gbps\n\n"
-      "%4s  %-6s %12s %10s %10s %10s %12s %8s %8s %8s\n", "n", "trans",
+      "%4s  %-6s %12s %10s %10s %10s %12s %8s %8s %8s %8s\n", "n", "trans",
       "ops/s", "p50 ms", "p95 ms", "mean ms", "completed", "cpu s", "nvcsw",
-      "nivcsw");
+      "nivcsw", "steal s");
 
   std::vector<Row> rows;
   bool all_ok = true;
@@ -236,7 +261,7 @@ int main(int argc, char** argv) {
   }
 
   if (!out_path.empty()) {
-    std::string json = "{\"schema\":\"marlin/realnet/v2\",\"quick\":";
+    std::string json = "{\"schema\":\"marlin/realnet/v3\",\"quick\":";
     json += quick ? "true" : "false";
     // Same key as BENCH_scaling.json: which host produced the artifact.
     json += ",\"hardware_concurrency\":" +

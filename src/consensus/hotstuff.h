@@ -18,8 +18,6 @@ class HotStuffReplica : public ReplicaBase {
   HotStuffReplica(ReplicaConfig config, const crypto::SignatureSuite& suite,
                   ProtocolEnv& env);
 
-  void start() override;
-  void advance_to_view(ViewNumber v) override;
   PersistentState persistent_state() const override;
   void restore(const PersistentState& ps) override;
 
@@ -31,38 +29,20 @@ class HotStuffReplica : public ReplicaBase {
   void on_proposal(ReplicaId from, types::ProposalMsg msg) override;
   void on_vote(ReplicaId from, types::VoteMsg msg) override;
   void on_qc_notice(ReplicaId from, types::QcNoticeMsg msg) override;
-  void on_view_change(ReplicaId from, types::ViewChangeMsg msg) override;
-  void maybe_propose() override;
   void adopt_recovery_tip(const Block& tip) override;
+  void propose(bool force) override;
+  /// NEW-VIEW: the highest prepareQC, as both lb and high_qc.
+  types::ViewChangeMsg view_change_msg() const override;
+  bool view_change_justify_ok(const Justify& j) override;
+  /// Adopts the highest prepareQC reported and re-proposes from it.
+  void lead_view_change(const ViewChangeSet& msgs) override;
 
  private:
-  void propose(bool force);
-  void enter_view(ViewNumber v, bool send_new_view);
-  void leader_check_new_view_quorum();
-
-  /// The digests a vote's and a VIEW-CHANGE's partial signatures cover;
-  /// nullopt when the handler discards the message unverified.
-  std::optional<Hash256> vote_digest_of(const types::VoteMsg& msg) const;
-  std::optional<Hash256> view_change_digest_of(
-      const types::ViewChangeMsg& msg) const;
-
-  Hash256 digest_for(QcType type, const Hash256& h, ViewNumber bview,
-                     Height height, ViewNumber pview) const;
-
   QuorumCert prepare_qc_high_;  // highest prepareQC seen (genesis at start)
   QuorumCert locked_qc_;        // highest precommitQC seen (lock)
   ViewNumber lb_view_ = 0;      // last voted block (view, height)
   Height lb_height_ = 0;
 
-  VoteCollector votes_;
-  bool propose_ready_ = false;
-
-  struct NewViewState {
-    std::map<ReplicaId, types::ViewChangeMsg> msgs;
-    bool acted = false;
-  };
-  std::map<ViewNumber, NewViewState> new_views_;
-  std::set<ViewNumber> nv_sent_;
   std::uint64_t vcs_led_ = 0;
 };
 

@@ -4,35 +4,15 @@
 
 namespace marlin::consensus {
 
-namespace {
-constexpr const char* kDomain = "marlin";
-
-QcType qc_type_of(Phase phase) {
-  switch (phase) {
-    case Phase::kPrePrepare: return QcType::kPrePrepare;
-    case Phase::kPrepare: return QcType::kPrepare;
-    case Phase::kCommit: return QcType::kCommit;
-    default: return QcType::kCommit;
-  }
-}
-}  // namespace
-
 MarlinReplica::MarlinReplica(ReplicaConfig config,
                              const crypto::SignatureSuite& suite,
                              ProtocolEnv& env)
-    : ReplicaBase(config, suite, env, kDomain),
-      votes_(config.quorum.quorum()) {
+    : ReplicaBase(config, suite, env, "marlin",
+                  {Phase::kPrePrepare, Phase::kPrepare, Phase::kCommit},
+                  /*virtual_blocks=*/true) {
   locked_qc_ = QuorumCert::genesis(store_.genesis_hash());
   high_qc_.qc = locked_qc_;
   lb_ = BlockRef{store_.genesis_hash(), 0, 0, 0, false};
-}
-
-void MarlinReplica::start() {
-  ReplicaBase::start();
-  if (is_leader()) {
-    propose_ready_ = true;
-    maybe_propose();
-  }
 }
 
 PersistentState MarlinReplica::persistent_state() const {
@@ -48,37 +28,6 @@ void MarlinReplica::restore(const PersistentState& ps) {
   locked_qc_ = ps.locked_qc;
   high_qc_ = ps.high_qc;
   ReplicaBase::restore(ps);
-}
-
-// ---------------------------------------------------------------------------
-// Digest / QC helpers
-// ---------------------------------------------------------------------------
-
-Hash256 MarlinReplica::prepare_digest_for_block(const Block& b,
-                                                const Hash256& h) const {
-  return types::vote_digest(kDomain, QcType::kPrepare, cview_, h, b.view,
-                            b.height, b.parent_view, b.virtual_block);
-}
-
-Hash256 MarlinReplica::digest_for_qc_fields(QcType type, ViewNumber view,
-                                            const QuorumCert& qc) const {
-  return types::vote_digest(kDomain, type, view, qc.block_hash, qc.block_view,
-                            qc.height, qc.pview, qc.virtual_block);
-}
-
-QuorumCert MarlinReplica::qc_from_block(QcType type, ViewNumber view,
-                                        const Block& b, const Hash256& h,
-                                        crypto::SigGroup sigs) {
-  QuorumCert qc;
-  qc.type = type;
-  qc.view = view;
-  qc.block_hash = h;
-  qc.block_view = b.view;
-  qc.height = b.height;
-  qc.pview = b.parent_view;
-  qc.virtual_block = b.virtual_block;
-  qc.sigs = std::move(sigs);
-  return qc;
 }
 
 // ---------------------------------------------------------------------------
@@ -114,13 +63,6 @@ bool MarlinReplica::block_ref_rank_greater(ViewNumber bview, Height bheight,
 // Normal case — leader side
 // ---------------------------------------------------------------------------
 
-void MarlinReplica::maybe_propose() {
-  if (recovering() || propose_held()) return;
-  if (cview_ == 0 || !is_leader() || !propose_ready_) return;
-  if (pool_.empty() && !config_.allow_empty_blocks) return;
-  propose_normal(false);
-}
-
 void MarlinReplica::adopt_recovery_tip(const Block& tip) {
   // Re-anchor an amnesiac on the snapshot tip: its justify certifies the
   // tip's (committed) parent, so after verification it is the freshest QC
@@ -133,57 +75,20 @@ void MarlinReplica::adopt_recovery_tip(const Block& tip) {
   update_locked(qc);
   if (tip.view > lb_.view ||
       (tip.view == lb_.view && tip.height > lb_.height)) {
-    lb_ = BlockRef{tip.hash(), tip.view, tip.height, tip.parent_view,
-                   tip.virtual_block};
+    lb_ = BlockRef::of(tip);
   }
-  enter_view(std::max(tip.view, qc.view), /*send_vc=*/false);
+  enter_view(std::max(tip.view, qc.view), /*send_view_change=*/false);
   persist();
 }
 
-void MarlinReplica::propose_normal(bool force) {
+void MarlinReplica::propose(bool force) {
   if (!high_qc_.qc || high_qc_.qc->type != QcType::kPrepare) return;
   const QuorumCert& qc = *high_qc_.qc;
   // Case N1 on the replica side requires a justify formed in the current
   // view (genesis excepted), which holds for pipelined successors and
   // happy-path QCs alike.
   if (!(qc.view == cview_ || qc.is_genesis())) return;
-
-  std::vector<types::Operation> batch = make_batch(force);
-  if (batch.empty() && !force && !config_.allow_empty_blocks) return;
-
-  Block b;
-  b.parent_link = qc.block_hash;
-  b.parent_view = qc.block_view;
-  b.view = cview_;
-  b.height = qc.height + 1;
-  b.virtual_block = false;
-  b.ops = std::move(batch);
-  b.justify = Justify{qc, std::nullopt};
-
-  env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
-  const Height proposed_height = b.height;
-  const std::size_t proposed_ops = b.ops.size();
-
-  types::ProposalMsg msg;
-  msg.phase = Phase::kPrepare;
-  msg.view = cview_;
-  msg.entries.push_back(types::ProposalEntry{std::move(b), Justify{qc, {}}});
-  const Envelope env = types::make_envelope(MsgKind::kProposal, msg);
-  const Hash256 proposed_hash = store_proposed(env);
-  propose_ready_ = false;
-  broadcast(env);
-  if (proposed_ops > 0) {
-    trace({.type = obs::EventType::kBatchDequeued,
-           .height = proposed_height,
-           .block = trace_block_id(proposed_hash),
-           .a = proposed_ops,
-           .b = static_cast<std::uint64_t>(last_batch_wait_.as_nanos())});
-  }
-  trace({.type = obs::EventType::kProposalSent,
-         .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = proposed_height,
-         .block = trace_block_id(proposed_hash),
-         .a = proposed_ops});
+  propose_on(qc, force);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,7 +102,7 @@ void MarlinReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
     // View sync: adopt a higher view when its leader shows a valid QC.
     const Justify& j = msg.entries[0].justify;
     if (!j.qc || !verify_qc(*j.qc)) return;
-    enter_view(msg.view, /*send_vc=*/false);
+    enter_view(msg.view, /*send_view_change=*/false);
   }
   switch (msg.phase) {
     case Phase::kPrepare:
@@ -244,27 +149,16 @@ void MarlinReplica::handle_prepare_proposal(ReplicaId from,
          .height = stored.height,
          .block = trace_block_id(h),
          .a = from});
-  const Hash256 digest = prepare_digest_for_block(stored, h);
-  types::VoteMsg vote;
-  vote.phase = Phase::kPrepare;
-  vote.view = cview_;
-  vote.block_hash = h;
-  vote.parsig = sign_digest(digest);
+  const types::VoteMsg vote = sign_vote(Phase::kPrepare, ref_of(stored, h));
 
   // Write-ahead voting: the voted/locked state must be durable before the
   // vote leaves this replica, or a crash+restart could vote again at the
   // same (view, height) for a different block.
-  lb_ = BlockRef{h, stored.view, stored.height, stored.parent_view, false};
+  lb_ = ref_of(stored, h);
   update_high_qc(j);
   update_locked(qc);
   persist();
-
-  send_to(from, types::make_envelope(MsgKind::kVote, vote));
-  trace({.type = obs::EventType::kVoteSent,
-         .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = stored.height,
-         .block = trace_block_id(h),
-         .a = from});
+  send_vote(from, vote, stored.height);
 }
 
 void MarlinReplica::on_qc_notice(ReplicaId from, types::QcNoticeMsg msg) {
@@ -276,7 +170,7 @@ void MarlinReplica::on_qc_notice(ReplicaId from, types::QcNoticeMsg msg) {
   if (from != leader_of(msg.view)) return;
   if (msg.view > cview_) {
     if (!verify_qc(msg.qc)) return;
-    enter_view(msg.view, /*send_vc=*/false);
+    enter_view(msg.view, /*send_view_change=*/false);
   }
   switch (msg.phase) {
     case Phase::kPrepare:
@@ -299,25 +193,14 @@ void MarlinReplica::handle_commit_notice(ReplicaId from,
   if (qc.type != QcType::kPrepare || qc.view != cview_) return;
   if (!verify_qc(qc)) return;
 
-  const Hash256 digest = digest_for_qc_fields(QcType::kCommit, cview_, qc);
-  types::VoteMsg vote;
-  vote.phase = Phase::kCommit;
-  vote.view = cview_;
-  vote.block_hash = qc.block_hash;
-  vote.parsig = sign_digest(digest);
+  const types::VoteMsg vote = sign_vote(Phase::kCommit, certified(qc));
 
   // Write-ahead voting: lock on the prepareQC durably before the COMMIT
   // vote leaves.
   update_high_qc(Justify{qc, {}});
   update_locked(qc);
   persist();
-
-  send_to(from, types::make_envelope(MsgKind::kVote, vote));
-  trace({.type = obs::EventType::kVoteSent,
-         .phase = static_cast<std::uint8_t>(Phase::kCommit),
-         .height = qc.height,
-         .block = trace_block_id(qc.block_hash),
-         .a = from});
+  send_vote(from, vote, qc.height);
 }
 
 void MarlinReplica::handle_decide_notice(ReplicaId from,
@@ -360,71 +243,36 @@ void MarlinReplica::handle_prepare_notice(ReplicaId from,
   // block in the same view never passes — the justify is not a prepareQC).
   if (!(qc.block_view > lb_.view)) return;
 
-  const Hash256 digest = digest_for_qc_fields(QcType::kPrepare, cview_, qc);
-  types::VoteMsg vote;
-  vote.phase = Phase::kPrepare;
-  vote.view = cview_;
-  vote.block_hash = qc.block_hash;
-  vote.parsig = sign_digest(digest);
+  const types::VoteMsg vote = sign_vote(Phase::kPrepare, certified(qc));
 
   // Write-ahead voting: record the voted block durably before the vote.
-  lb_ = BlockRef{qc.block_hash, qc.block_view, qc.height, qc.pview,
-                 qc.virtual_block};
+  lb_ = certified(qc);
   update_high_qc(Justify{qc, msg.aux});
   persist();
-
-  send_to(from, types::make_envelope(MsgKind::kVote, vote));
-  trace({.type = obs::EventType::kVoteSent,
-         .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = qc.height,
-         .block = trace_block_id(qc.block_hash),
-         .a = from});
+  send_vote(from, vote, qc.height);
 }
 
 // ---------------------------------------------------------------------------
 // Votes — leader side
 // ---------------------------------------------------------------------------
 
-std::optional<Hash256> MarlinReplica::vote_digest_of(
-    const types::VoteMsg& msg) const {
-  // Only the current view's leader counts votes; others are dropped
-  // before any verification.
-  if (msg.view != cview_ || leader_of(msg.view) != config_.id) {
-    return std::nullopt;
+MarlinReplica::PrePrepareState& MarlinReplica::preprepare() {
+  if (preprepare_.view != cview_) {
+    preprepare_ = PrePrepareState{};
+    preprepare_.view = cview_;
   }
-  const Block* b = store_.get(msg.block_hash);
-  if (!b) return std::nullopt;  // we only count votes for blocks we stored
-  return types::vote_digest(kDomain, qc_type_of(msg.phase), cview_,
-                            msg.block_hash, b->view, b->height,
-                            b->parent_view, b->virtual_block);
-}
-
-std::optional<Hash256> MarlinReplica::view_change_digest_of(
-    const types::ViewChangeMsg& msg) const {
-  if (msg.view < cview_) return std::nullopt;
-  // The parsig signs the happy-path digest of lb at view v.
-  const BlockRef& lb = msg.last_voted;
-  return types::vote_digest(kDomain, QcType::kPrepare, msg.view, lb.hash,
-                            lb.view, lb.height, lb.pview, lb.virtual_block);
+  return preprepare_;
 }
 
 void MarlinReplica::on_vote(ReplicaId from, types::VoteMsg msg) {
-  const std::optional<Hash256> digest = vote_digest_of(msg);
-  if (!digest || !verify_partial(msg.parsig, *digest)) return;
-  const Block* b = store_.get(msg.block_hash);
-  const QcType type = qc_type_of(msg.phase);
-  trace({.type = obs::EventType::kVoteReceived,
-         .phase = static_cast<std::uint8_t>(msg.phase),
-         .height = b->height,
-         .block = trace_block_id(msg.block_hash),
-         .a = from,
-         .b = votes_.count(msg.phase, msg.block_hash) + 1});
+  const Block* b = accept_vote(from, msg);
+  if (!b) return;
 
   // R2 votes attach the voter's lockedQC — a candidate `vc`.
   if (msg.phase == Phase::kPrePrepare && msg.locked_qc) {
     const QuorumCert& attached = *msg.locked_qc;
     if (attached.type == QcType::kPrepare && verify_qc(attached)) {
-      VcState& st = vc_[cview_];
+      PrePrepareState& st = preprepare();
       if (!st.vc_candidate ||
           types::rank_greater(attached, *st.vc_candidate)) {
         st.vc_candidate = attached;
@@ -432,99 +280,36 @@ void MarlinReplica::on_vote(ReplicaId from, types::VoteMsg msg) {
     }
   }
 
-  auto group = votes_.add(msg.phase, msg.block_hash, msg.parsig);
-  if (!group) {
-    if (msg.phase == Phase::kPrePrepare) leader_check_preprepare_progress();
+  std::optional<QuorumCert> qc = add_vote(msg, *b);
+  if (msg.phase == Phase::kPrePrepare) {
+    // Stash the raw signature group; the QC is finalized (and, in
+    // threshold mode, combined) when the preference decision picks it.
+    if (qc) preprepare().formed.emplace(msg.block_hash, std::move(qc->sigs));
+    leader_check_preprepare_progress();
     return;
   }
-
-  QuorumCert qc = qc_from_block(type, cview_, *b, msg.block_hash,
-                                std::move(*group));
-  trace({.type = obs::EventType::kQcFormed,
-         .phase = static_cast<std::uint8_t>(msg.phase),
-         .height = b->height,
-         .block = trace_block_id(msg.block_hash)});
-
-  switch (msg.phase) {
-    case Phase::kPrepare: {
-      finalize_qc(qc);
-      update_high_qc(Justify{qc, {}});
-      update_locked(qc);
-      persist();  // durable before the COMMIT notice leaves
-      types::QcNoticeMsg notice{Phase::kCommit, cview_, qc, {}};
-      broadcast(types::make_envelope(MsgKind::kQcNotice, notice));
-      trace({.type = obs::EventType::kPhaseTransition,
-             .phase = static_cast<std::uint8_t>(Phase::kCommit),
-             .height = b->height,
-             .block = trace_block_id(msg.block_hash)});
-      if (config_.pipelined) {
-        propose_ready_ = true;
-        maybe_propose();
-      }
-      return;
-    }
-    case Phase::kCommit: {
-      finalize_qc(qc);
-      types::QcNoticeMsg notice{Phase::kDecide, cview_, qc, {}};
-      broadcast(types::make_envelope(MsgKind::kQcNotice, notice));
-      trace({.type = obs::EventType::kPhaseTransition,
-             .phase = static_cast<std::uint8_t>(Phase::kDecide),
-             .height = b->height,
-             .block = trace_block_id(msg.block_hash)});
-      if (!config_.pipelined) {
-        propose_ready_ = true;
-        maybe_propose();
-      }
-      return;
-    }
-    case Phase::kPrePrepare: {
-      // Stash the raw signature group; the QC is finalized (and, in
-      // threshold mode, combined) when the preference decision picks it.
-      VcState& st = vc_[cview_];
-      st.formed.emplace(msg.block_hash, std::move(qc.sigs));
-      leader_check_preprepare_progress();
-      return;
-    }
-    default:
-      return;
+  if (!qc) return;
+  finalize_qc(*qc);
+  if (qc->type == QcType::kPrepare) {
+    update_high_qc(Justify{*qc, {}});
+    update_locked(*qc);
+    persist();  // durable before the COMMIT notice leaves
   }
+  announce_qc(std::move(*qc));
 }
 
 // ---------------------------------------------------------------------------
 // View change
 // ---------------------------------------------------------------------------
 
-void MarlinReplica::advance_to_view(ViewNumber v) {
-  enter_view(v, /*send_vc=*/true);
+types::ViewChangeMsg MarlinReplica::view_change_msg() const {
+  types::ViewChangeMsg m;
+  m.last_voted = lb_;
+  m.high_qc = high_qc_;
+  return m;
 }
 
-void MarlinReplica::enter_view(ViewNumber v, bool send_vc) {
-  if (v <= cview_) return;
-  cview_ = v;
-  propose_ready_ = false;
-  votes_.clear();
-  // Garbage-collect stale view-change state.
-  while (!vc_.empty() && vc_.begin()->first < v) vc_.erase(vc_.begin());
-  // The entered view is durable state: a restart must never rewind cview_
-  // and accept (or vote on) traffic from a view it already left.
-  persist();
-  env_.entered_view(v);
-
-  if (send_vc && vc_sent_.insert(v).second) {
-    trace({.type = obs::EventType::kViewChangeStart});
-    types::ViewChangeMsg m;
-    m.view = v;
-    m.last_voted = lb_;
-    m.high_qc = high_qc_;
-    m.parsig = sign_digest(types::vote_digest(
-        kDomain, QcType::kPrepare, v, lb_.hash, lb_.view, lb_.height,
-        lb_.pview, lb_.virtual_block));
-    send_to(leader_of(v), types::make_envelope(MsgKind::kViewChange, m));
-  }
-  if (is_leader()) leader_check_vc_quorum();
-}
-
-bool MarlinReplica::validate_justify(const Justify& j) {
+bool MarlinReplica::view_change_justify_ok(const Justify& j) {
   if (!j.qc) return false;
   const QuorumCert& qc = *j.qc;
   if (qc.type != QcType::kPrepare && qc.type != QcType::kPrePrepare) {
@@ -545,43 +330,14 @@ bool MarlinReplica::validate_justify(const Justify& j) {
   return true;
 }
 
-void MarlinReplica::on_view_change(ReplicaId from, types::ViewChangeMsg msg) {
-  const std::optional<Hash256> digest = view_change_digest_of(msg);
-  if (!digest || msg.parsig.signer != from) return;
-  if (!verify_partial(msg.parsig, *digest)) return;
-  if (!validate_justify(msg.high_qc)) return;
-
-  VcState& st = vc_[msg.view];
-  st.msgs.emplace(from, std::move(msg));
-  const ViewNumber view = st.msgs.begin()->second.view;
-
-  // f + 1 distinct VIEW-CHANGEs for a higher view: join it.
-  if (view > cview_ &&
-      st.msgs.size() >= config_.quorum.f + 1 && vc_sent_.count(view) == 0) {
-    enter_view(view, /*send_vc=*/true);
-    return;
-  }
-  if (view == cview_ && leader_of(view) == config_.id) {
-    leader_check_vc_quorum();
-  }
-}
-
-void MarlinReplica::leader_check_vc_quorum() {
-  auto it = vc_.find(cview_);
-  if (it == vc_.end()) return;
-  VcState& st = it->second;
-  if (st.acted || st.msgs.size() < quorum()) return;
-  leader_act_on_snapshot(st);
-}
-
-void MarlinReplica::leader_act_on_snapshot(VcState& st) {
-  st.acted = true;
+void MarlinReplica::lead_view_change(const ViewChangeSet& msgs) {
   const ViewNumber v = cview_;
+  PrePrepareState& st = preprepare();
 
   // ---- Happy path: n−f identical lb → combine into a prepareQC. ----------
   if (!config_.disable_happy_path) {
     std::map<Hash256, std::vector<const types::ViewChangeMsg*>> by_lb;
-    for (const auto& [sender, m] : st.msgs) {
+    for (const auto& [sender, m] : msgs) {
       by_lb[m.last_voted.hash].push_back(&m);
     }
     for (const auto& [hash, group] : by_lb) {
@@ -592,15 +348,7 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
       auto combined = crypto::SigGroup::combine(std::move(sigs), quorum());
       if (!combined) continue;
       const BlockRef& lb = group.front()->last_voted;
-      QuorumCert qc;
-      qc.type = QcType::kPrepare;
-      qc.view = v;
-      qc.block_hash = lb.hash;
-      qc.block_view = lb.view;
-      qc.height = lb.height;
-      qc.pview = lb.pview;
-      qc.virtual_block = lb.virtual_block;
-      qc.sigs = std::move(*combined);
+      QuorumCert qc = make_qc(QcType::kPrepare, lb, std::move(*combined));
       finalize_qc(qc);
       ++happy_vcs_;
       st.prepare_started = true;
@@ -612,7 +360,7 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
       update_locked(qc);
       persist();  // durable before the happy-path proposal leaves
       propose_ready_ = true;
-      propose_normal(/*force=*/true);
+      propose(/*force=*/true);
       return;
     }
   }
@@ -622,7 +370,7 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
 
   // highQCv: the highest-ranked primary QC(s) among the messages.
   std::vector<const Justify*> candidates;
-  for (const auto& [sender, m] : st.msgs) {
+  for (const auto& [sender, m] : msgs) {
     if (!m.high_qc.qc) continue;
     if (candidates.empty()) {
       candidates.push_back(&m.high_qc);
@@ -647,7 +395,7 @@ void MarlinReplica::leader_act_on_snapshot(VcState& st) {
 
   // bv: highest (view, height) among reported last-voted blocks.
   const BlockRef* bv = nullptr;
-  for (const auto& [sender, m] : st.msgs) {
+  for (const auto& [sender, m] : msgs) {
     const BlockRef& ref = m.last_voted;
     if (!bv || ref.view > bv->view ||
         (ref.view == bv->view && ref.height > bv->height)) {
@@ -727,7 +475,7 @@ void MarlinReplica::handle_preprepare_proposal(ReplicaId from,
     // Justify must be formed before this view, and the block in it.
     if (qc.view >= cview_ || b.view != cview_) continue;
     if (b.justify != j) continue;  // paper: m_i.justify = m_i.block.justify
-    if (!validate_justify(j)) continue;
+    if (!view_change_justify_ok(j)) continue;
 
     // Structural validity.
     if (b.virtual_block) {
@@ -770,28 +518,15 @@ void MarlinReplica::handle_preprepare_proposal(ReplicaId from,
            .block = trace_block_id(h),
            .a = from});
 
-    types::VoteMsg vm;
-    vm.phase = Phase::kPrePrepare;
-    vm.view = cview_;
-    vm.block_hash = h;
-    vm.parsig = sign_digest(
-        types::vote_digest(kDomain, QcType::kPrePrepare, cview_, h, b.view,
-                           b.height, b.parent_view, b.virtual_block));
+    types::VoteMsg vm = sign_vote(Phase::kPrePrepare, ref_of(b, h));
     if (attach_locked) vm.locked_qc = locked_qc_;
-    send_to(from, types::make_envelope(MsgKind::kVote, vm));
-    trace({.type = obs::EventType::kVoteSent,
-           .phase = static_cast<std::uint8_t>(Phase::kPrePrepare),
-           .height = b.height,
-           .block = trace_block_id(h),
-           .a = from});
+    send_vote(from, vm, b.height);
     // Pre-prepare votes update no replica state (lb/highQC/lockedQC).
   }
 }
 
 void MarlinReplica::leader_check_preprepare_progress() {
-  auto it = vc_.find(cview_);
-  if (it == vc_.end()) return;
-  VcState& st = it->second;
+  PrePrepareState& st = preprepare();
   if (st.prepare_started || st.formed.empty()) return;
 
   // Preference: a formed pre-prepareQC for a *normal* block wins; a virtual
@@ -822,8 +557,8 @@ void MarlinReplica::leader_check_preprepare_progress() {
   }
   if (!chosen) return;
 
-  QuorumCert qc = qc_from_block(QcType::kPrePrepare, cview_, *chosen,
-                                chosen_hash, st.formed.at(chosen_hash));
+  QuorumCert qc = make_qc(QcType::kPrePrepare, ref_of(*chosen, chosen_hash),
+                          st.formed.at(chosen_hash));
   finalize_qc(qc);
   st.prepare_started = true;
   trace({.type = obs::EventType::kViewChangeEnd,

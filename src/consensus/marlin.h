@@ -35,8 +35,6 @@ class MarlinReplica : public ReplicaBase {
   MarlinReplica(ReplicaConfig config, const crypto::SignatureSuite& suite,
                 ProtocolEnv& env);
 
-  void start() override;
-  void advance_to_view(ViewNumber v) override;
   PersistentState persistent_state() const override;
   void restore(const PersistentState& ps) override;
 
@@ -52,14 +50,21 @@ class MarlinReplica : public ReplicaBase {
   void on_proposal(ReplicaId from, types::ProposalMsg msg) override;
   void on_vote(ReplicaId from, types::VoteMsg msg) override;
   void on_qc_notice(ReplicaId from, types::QcNoticeMsg msg) override;
-  void on_view_change(ReplicaId from, types::ViewChangeMsg msg) override;
-  void maybe_propose() override;
   void adopt_recovery_tip(const Block& tip) override;
+  /// Case N1: a child of highQC, which must be a prepareQC of this view.
+  void propose(bool force) override;
+  /// VIEW-CHANGE: (lb, highQC).
+  types::ViewChangeMsg view_change_msg() const override;
+  /// Validates the high_qc justify carried by a VIEW-CHANGE message (and
+  /// by a PRE-PREPARE proposal entry).
+  bool view_change_justify_ok(const Justify& j) override;
+  /// Happy path when n−f lb agree, else the PRE-PREPARE phase.
+  void lead_view_change(const ViewChangeSet& msgs) override;
 
  private:
-  struct VcState {
-    std::map<ReplicaId, types::ViewChangeMsg> msgs;
-    bool acted = false;            // snapshot processed
+  /// The leader's unhappy-path state for one view.
+  struct PrePrepareState {
+    ViewNumber view = 0;
     bool prepare_started = false;  // pre-prepare resolved (or happy path)
     // Pre-prepare proposals by hash; bool = virtual block.
     std::vector<std::pair<Hash256, bool>> proposed;
@@ -68,23 +73,19 @@ class MarlinReplica : public ReplicaBase {
     // Highest R2-attached prepareQC seen (the future `vc`).
     std::optional<QuorumCert> vc_candidate;
   };
+  /// The current view's pre-prepare state (reset on first use in a view).
+  PrePrepareState& preprepare();
 
   // -- normal case ----------------------------------------------------------
-  void propose_normal(bool force);
   void handle_prepare_proposal(ReplicaId from, types::ProposalMsg& msg);
   void handle_commit_notice(ReplicaId from, const types::QcNoticeMsg& msg);
   void handle_decide_notice(ReplicaId from, const types::QcNoticeMsg& msg);
 
   // -- view change ----------------------------------------------------------
-  void enter_view(ViewNumber v, bool send_vc);
   void handle_preprepare_proposal(ReplicaId from,
                                   const types::ProposalMsg& msg);
   void handle_prepare_notice(ReplicaId from, const types::QcNoticeMsg& msg);
-  void leader_check_vc_quorum();
-  void leader_act_on_snapshot(VcState& st);
   void leader_check_preprepare_progress();
-  /// Validates the high_qc justify carried by a VIEW-CHANGE message.
-  bool validate_justify(const Justify& j);
 
   // -- state updates ---------------------------------------------------------
   void update_high_qc(const Justify& j);
@@ -92,27 +93,11 @@ class MarlinReplica : public ReplicaBase {
   bool block_ref_rank_greater(ViewNumber bview, Height bheight,
                               const Justify& bjustify) const;
 
-  /// The digests a vote's and a VIEW-CHANGE's partial signatures cover;
-  /// nullopt when the handler discards the message unverified.
-  std::optional<Hash256> vote_digest_of(const types::VoteMsg& msg) const;
-  std::optional<Hash256> view_change_digest_of(
-      const types::ViewChangeMsg& msg) const;
-
-  Hash256 prepare_digest_for_block(const Block& b, const Hash256& h) const;
-  Hash256 digest_for_qc_fields(QcType type, ViewNumber view,
-                               const QuorumCert& qc) const;
-  QuorumCert qc_from_block(QcType type, ViewNumber view, const Block& b,
-                           const Hash256& h, crypto::SigGroup sigs);
-
   BlockRef lb_;             // last voted block (genesis at start)
   QuorumCert locked_qc_;    // genesis prepareQC at start
   Justify high_qc_;         // {genesis prepareQC} at start
 
-  VoteCollector votes_;
-  bool propose_ready_ = false;
-
-  std::map<ViewNumber, VcState> vc_;
-  std::set<ViewNumber> vc_sent_;
+  PrePrepareState preprepare_;
 
   std::uint64_t unhappy_vcs_ = 0;
   std::uint64_t happy_vcs_ = 0;

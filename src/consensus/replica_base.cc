@@ -25,13 +25,18 @@ std::uint32_t VoteCollector::count(Phase phase, const Hash256& block) const {
 
 ReplicaBase::ReplicaBase(ReplicaConfig config,
                          const crypto::SignatureSuite& suite,
-                         ProtocolEnv& env, std::string domain)
+                         ProtocolEnv& env, std::string domain,
+                         std::initializer_list<Phase> vote_phases,
+                         bool virtual_blocks)
     : config_(config),
       env_(env),
       domain_(std::move(domain)),
       suite_(suite),
       signer_(suite.signer(config.id)),
-      verifier_(suite.verifier()) {
+      verifier_(suite.verifier()),
+      votes_(config.quorum.quorum()),
+      virtual_blocks_(virtual_blocks) {
+  for (Phase p : vote_phases) vote_phases_ |= 1u << static_cast<unsigned>(p);
   committed_hash_ = store_.genesis_hash();
   peer_timeout_view_.assign(config_.quorum.n, 0);
 }
@@ -41,6 +46,10 @@ void ReplicaBase::start() {
   // it had durably reached (never below 1, never rewinding).
   cview_ = std::max<ViewNumber>(cview_, 1);
   env_.entered_view(cview_);
+  if (is_leader()) {
+    propose_ready_ = true;
+    maybe_propose();
+  }
 }
 
 PersistentState ReplicaBase::base_persistent_state(PersistedProtocol p) const {
@@ -167,7 +176,224 @@ void ReplicaBase::check_timeout_quorum() {
   std::vector<ViewNumber> sorted = peer_timeout_view_;
   std::sort(sorted.begin(), sorted.end(), std::greater<>());
   const ViewNumber vstar = sorted[config_.quorum.f];
-  if (vstar >= cview_) advance_to_view(vstar + 1);
+  if (vstar >= cview_) enter_view(vstar + 1, /*send_view_change=*/true);
+}
+
+// ---------------------------------------------------------------------------
+// Normal-case skeleton
+// ---------------------------------------------------------------------------
+
+void ReplicaBase::maybe_propose() {
+  if (recovering() || propose_held()) return;
+  if (cview_ == 0 || !is_leader() || !propose_ready_) return;
+  if (pool_.empty() && !config_.allow_empty_blocks) return;
+  propose(false);
+}
+
+void ReplicaBase::propose_on(const QuorumCert& qc, bool force) {
+  std::vector<types::Operation> batch = make_batch(force);
+  if (batch.empty() && !force && !config_.allow_empty_blocks) return;
+
+  Block b;
+  b.parent_link = qc.block_hash;
+  b.parent_view = qc.block_view;
+  b.view = cview_;
+  b.height = qc.height + 1;
+  b.ops = std::move(batch);
+  b.justify = Justify{qc, {}};
+
+  env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
+  const Height proposed_height = b.height;
+  const std::size_t proposed_ops = b.ops.size();
+
+  types::ProposalMsg msg;
+  msg.phase = Phase::kPrepare;
+  msg.view = cview_;
+  msg.entries.push_back(types::ProposalEntry{std::move(b), Justify{qc, {}}});
+  const Envelope env = types::make_envelope(MsgKind::kProposal, msg);
+  const Hash256 proposed_hash = store_proposed(env);
+  propose_ready_ = false;
+  broadcast(env);
+  if (proposed_ops > 0) {
+    trace({.type = obs::EventType::kBatchDequeued,
+           .height = proposed_height,
+           .block = trace_block_id(proposed_hash),
+           .a = proposed_ops,
+           .b = static_cast<std::uint64_t>(last_batch_wait_.as_nanos())});
+  }
+  trace({.type = obs::EventType::kProposalSent,
+         .phase = static_cast<std::uint8_t>(Phase::kPrepare),
+         .height = proposed_height,
+         .block = trace_block_id(proposed_hash),
+         .a = proposed_ops});
+}
+
+std::optional<QcType> ReplicaBase::qc_type_of(Phase phase) const {
+  if ((vote_phases_ & (1u << static_cast<unsigned>(phase))) == 0) {
+    return std::nullopt;
+  }
+  switch (phase) {
+    case Phase::kPrePrepare: return QcType::kPrePrepare;
+    case Phase::kPrepare: return QcType::kPrepare;
+    case Phase::kPreCommit: return QcType::kPreCommit;
+    case Phase::kCommit: return QcType::kCommit;
+    case Phase::kDecide: break;  // a notice, never a vote
+  }
+  return std::nullopt;
+}
+
+Hash256 ReplicaBase::vote_digest(QcType type, ViewNumber view,
+                                 const BlockRef& ref) const {
+  return types::vote_digest(domain_, type, view, ref.hash, ref.view,
+                            ref.height, ref.pview,
+                            virtual_blocks_ && ref.virtual_block);
+}
+
+QuorumCert ReplicaBase::make_qc(QcType type, const BlockRef& ref,
+                                crypto::SigGroup sigs) const {
+  QuorumCert qc;
+  qc.type = type;
+  qc.view = cview_;
+  qc.block_hash = ref.hash;
+  qc.block_view = ref.view;
+  qc.height = ref.height;
+  qc.pview = ref.pview;
+  qc.virtual_block = virtual_blocks_ && ref.virtual_block;
+  qc.sigs = std::move(sigs);
+  return qc;
+}
+
+types::VoteMsg ReplicaBase::sign_vote(Phase phase, const BlockRef& ref) {
+  types::VoteMsg vote;
+  vote.phase = phase;
+  vote.view = cview_;
+  vote.block_hash = ref.hash;
+  vote.parsig = sign_digest(vote_digest(*qc_type_of(phase), cview_, ref));
+  return vote;
+}
+
+void ReplicaBase::send_vote(ReplicaId to, const types::VoteMsg& vote,
+                            Height height) {
+  send_to(to, types::make_envelope(MsgKind::kVote, vote));
+  trace({.type = obs::EventType::kVoteSent,
+         .phase = static_cast<std::uint8_t>(vote.phase),
+         .height = height,
+         .block = trace_block_id(vote.block_hash),
+         .a = to});
+}
+
+const Block* ReplicaBase::accept_vote(ReplicaId from,
+                                      const types::VoteMsg& msg) {
+  // Only the current view's leader counts votes, only for blocks it
+  // stored, and only in phases this protocol votes in; anything else is
+  // dropped before any verification.
+  if (msg.view != cview_ || !is_leader()) return nullptr;
+  const std::optional<QcType> type = qc_type_of(msg.phase);
+  const Block* b = store_.get(msg.block_hash);
+  if (!type || !b) return nullptr;
+  const Hash256 digest = vote_digest(*type, cview_, ref_of(*b, msg.block_hash));
+  if (!verify_partial(msg.parsig, digest)) return nullptr;
+  trace({.type = obs::EventType::kVoteReceived,
+         .phase = static_cast<std::uint8_t>(msg.phase),
+         .height = b->height,
+         .block = trace_block_id(msg.block_hash),
+         .a = from,
+         .b = votes_.count(msg.phase, msg.block_hash) + 1});
+  return b;
+}
+
+std::optional<QuorumCert> ReplicaBase::add_vote(const types::VoteMsg& msg,
+                                                const Block& b) {
+  auto group = votes_.add(msg.phase, msg.block_hash, msg.parsig);
+  if (!group) return std::nullopt;
+  QuorumCert qc = make_qc(*qc_type_of(msg.phase), ref_of(b, msg.block_hash),
+                          std::move(*group));
+  trace({.type = obs::EventType::kQcFormed,
+         .phase = static_cast<std::uint8_t>(msg.phase),
+         .height = b.height,
+         .block = trace_block_id(msg.block_hash)});
+  return qc;
+}
+
+void ReplicaBase::announce_qc(QuorumCert qc) {
+  unsigned next = static_cast<unsigned>(qc.type) + 1;
+  while (next < static_cast<unsigned>(Phase::kDecide) &&
+         (vote_phases_ & (1u << next)) == 0) {
+    ++next;
+  }
+  const Phase phase = static_cast<Phase>(next);
+  const Height height = qc.height;
+  const Hash256 block = qc.block_hash;
+  const bool ready = config_.pipelined ? qc.type == QcType::kPrepare
+                                       : qc.type == QcType::kCommit;
+  broadcast(types::make_envelope(
+      MsgKind::kQcNotice, types::QcNoticeMsg{phase, cview_, std::move(qc), {}}));
+  trace({.type = obs::EventType::kPhaseTransition,
+         .phase = static_cast<std::uint8_t>(phase),
+         .height = height,
+         .block = trace_block_id(block)});
+  if (ready) {
+    propose_ready_ = true;
+    maybe_propose();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// View entry and VIEW-CHANGE collection
+// ---------------------------------------------------------------------------
+
+void ReplicaBase::enter_view(ViewNumber v, bool send_view_change) {
+  // Views only move forward, so each view is entered — and its
+  // VIEW-CHANGE sent — at most once.
+  if (v <= cview_) return;
+  cview_ = v;
+  propose_ready_ = false;
+  votes_.clear();
+  while (!view_changes_.empty() && view_changes_.begin()->first < v) {
+    view_changes_.erase(view_changes_.begin());
+  }
+  // The entered view is durable: a restart must never rewind cview_ and
+  // accept (or vote on) traffic from a view it already left.
+  persist();
+  env_.entered_view(v);
+
+  if (send_view_change) {
+    trace({.type = obs::EventType::kViewChangeStart});
+    types::ViewChangeMsg m = view_change_msg();
+    m.view = v;
+    m.parsig = sign_digest(vote_digest(QcType::kPrepare, v, m.last_voted));
+    send_to(leader_of(v), types::make_envelope(MsgKind::kViewChange, m));
+  }
+  if (is_leader()) check_view_change_quorum();
+}
+
+void ReplicaBase::on_view_change(ReplicaId from, types::ViewChangeMsg msg) {
+  // The parsig re-signs lb as a prepare vote of the new view (the
+  // happy-path digest a Marlin leader combines into a prepareQC).
+  if (msg.view < cview_ || msg.parsig.signer != from) return;
+  const Hash256 digest =
+      vote_digest(QcType::kPrepare, msg.view, msg.last_voted);
+  if (!verify_partial(msg.parsig, digest)) return;
+  if (!view_change_justify_ok(msg.high_qc)) return;
+
+  const ViewNumber view = msg.view;
+  ViewChangeState& st = view_changes_[view];
+  st.msgs.emplace(from, std::move(msg));
+  // f + 1 distinct VIEW-CHANGEs for a higher view: join it.
+  if (view > cview_ && st.msgs.size() >= config_.quorum.f + 1) {
+    enter_view(view, /*send_view_change=*/true);
+    return;
+  }
+  if (view == cview_ && is_leader()) check_view_change_quorum();
+}
+
+void ReplicaBase::check_view_change_quorum() {
+  auto it = view_changes_.find(cview_);
+  if (it == view_changes_.end()) return;
+  ViewChangeState& st = it->second;
+  if (st.acted || st.msgs.size() < quorum()) return;
+  st.acted = true;
+  lead_view_change(st.msgs);
 }
 
 Hash256 ReplicaBase::store_proposed(const Envelope& env) {

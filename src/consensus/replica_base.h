@@ -1,6 +1,9 @@
 // Infrastructure shared by the Marlin and HotStuff replicas: envelope
-// dispatch, vote collection, QC verification (with caching and cost
-// accounting), block fetching, chain commit, and view bookkeeping.
+// dispatch, the normal-case skeleton (propose gate and broadcast, vote
+// signing and sending, vote counting and QC assembly, QC notices), view
+// entry and VIEW-CHANGE collection, QC verification (with caching and cost
+// accounting), block fetching, and chain commit. A protocol supplies its
+// safety rules, its voting state, and the hooks below.
 //
 // Threading/timing model: a replica is a deterministic event handler. The
 // environment calls handle_message / submit / on_view_timeout; the replica
@@ -12,6 +15,7 @@
 #pragma once
 
 #include <deque>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
@@ -90,13 +94,16 @@ class VoteCollector {
 
 class ReplicaBase {
  public:
+  /// What sets a protocol's signatures apart: the digest `domain`, the
+  /// phases its replicas vote in, and whether its blocks may be virtual.
   ReplicaBase(ReplicaConfig config, const crypto::SignatureSuite& suite,
-              ProtocolEnv& env, std::string domain);
+              ProtocolEnv& env, std::string domain,
+              std::initializer_list<Phase> vote_phases, bool virtual_blocks);
   virtual ~ReplicaBase() = default;
 
   /// Enters view 1 (or the restored view after restore()) and, if leader,
   /// becomes ready to propose.
-  virtual void start();
+  void start();
 
   /// Snapshot of the durable consensus state (write-ahead-voting unit).
   /// Protocol subclasses fill their own fields on top of
@@ -150,19 +157,26 @@ class ReplicaBase {
   TxPool& pool() { return pool_; }
 
  protected:
+  using ViewChangeSet = std::map<ReplicaId, types::ViewChangeMsg>;
+
   // -- protocol-specific handlers ------------------------------------------
   virtual void on_proposal(ReplicaId from, types::ProposalMsg msg) = 0;
   virtual void on_vote(ReplicaId from, types::VoteMsg msg) = 0;
   virtual void on_qc_notice(ReplicaId from, types::QcNoticeMsg msg) = 0;
-  virtual void on_view_change(ReplicaId from, types::ViewChangeMsg msg) = 0;
-  /// Called when new ops arrive or the pipeline frees up; the leader
-  /// decides whether to propose.
-  virtual void maybe_propose() = 0;
 
-  /// The timeout quorum formed (f+1 replicas timed out at or above
-  /// cview_): enter view `v`, sending the protocol's view-change message
-  /// (Marlin VC / HotStuff NEW-VIEW) to the new leader.
-  virtual void advance_to_view(ViewNumber v) = 0;
+  /// The leader proposes the next block (maybe_propose() has checked that
+  /// it leads, is ready and has work; `force` = propose even when empty).
+  virtual void propose(bool force) = 0;
+
+  /// The VIEW-CHANGE (Marlin) / NEW-VIEW (HotStuff) this replica sends on
+  /// entering a view: its last_voted and high_qc. The base sets the view
+  /// and signs last_voted as a prepare vote of that view.
+  virtual types::ViewChangeMsg view_change_msg() const = 0;
+  /// The protocol's check of the high_qc a VIEW-CHANGE carries.
+  virtual bool view_change_justify_ok(const Justify& j) = 0;
+  /// This replica leads cview_ and holds a quorum of VIEW-CHANGEs for it
+  /// (called once per view): resolve them and propose.
+  virtual void lead_view_change(const ViewChangeSet& msgs) = 0;
 
   /// Recovery completed with a non-empty snapshot whose newest block is
   /// `tip`: the protocol adopts tip's justify QC (its high-QC / lock) and
@@ -176,6 +190,49 @@ class ReplicaBase {
   bool propose_held() const {
     return recovery_hold_view_ != 0 && cview_ == recovery_hold_view_;
   }
+
+  // -- normal-case skeleton ---------------------------------------------------
+  /// Broadcasts a PREPARE proposal of a child of `qc` carrying the next
+  /// batch (nothing when the batch is empty and neither `force` nor empty
+  /// blocks allow it).
+  void propose_on(const QuorumCert& qc, bool force);
+
+  /// Enters view `v` (> cview_): persists it, tells the env, and, with
+  /// `send_view_change`, signs and sends the protocol's VIEW-CHANGE to the
+  /// new leader. The leader then checks its VIEW-CHANGE quorum.
+  void enter_view(ViewNumber v, bool send_view_change);
+
+  /// The block a QC certifies, as a reference.
+  static BlockRef certified(const QuorumCert& qc) {
+    return BlockRef{qc.block_hash, qc.block_view, qc.height, qc.pview,
+                    qc.virtual_block};
+  }
+  /// Block `b` (whose hash is `h`) as a reference.
+  static BlockRef ref_of(const Block& b, const Hash256& h) {
+    return BlockRef{h, b.view, b.height, b.parent_view, b.virtual_block};
+  }
+  /// A cview_ QC of `type` over `ref` from a combined signature group.
+  QuorumCert make_qc(QcType type, const BlockRef& ref,
+                     crypto::SigGroup sigs) const;
+
+  /// A vote of `phase` in cview_ for `ref`, signed (charges one sign).
+  types::VoteMsg sign_vote(Phase phase, const BlockRef& ref);
+  /// Sends `vote` for a block at `height` to the leader `to`.
+  void send_vote(ReplicaId to, const types::VoteMsg& vote, Height height);
+
+  /// Leader side of a vote: drops it unless this replica leads its view,
+  /// stores its block and votes in its phase; then verifies the partial
+  /// signature. Returns the voted block, or null when dropped.
+  const Block* accept_vote(ReplicaId from, const types::VoteMsg& msg);
+  /// Counts an accepted vote for `b`; when it completes the quorum,
+  /// returns the (not yet finalized) QC.
+  std::optional<QuorumCert> add_vote(const types::VoteMsg& msg,
+                                     const Block& b);
+  /// Broadcasts a finalized QC as the notice that opens the next phase this
+  /// protocol votes in (DECIDE after the commitQC), then applies the
+  /// ready-to-propose rule: a pipelined leader proposes the next block
+  /// once the prepareQC forms, others once the commitQC forms.
+  void announce_qc(QuorumCert qc);
 
   // -- helpers --------------------------------------------------------------
   ReplicaId leader_of(ViewNumber v) const {
@@ -195,12 +252,6 @@ class ReplicaBase {
   /// threshold mode, combines the collected partials into one constant-
   /// size signature (charging combine costs) and drops the group.
   void finalize_qc(QuorumCert& qc);
-
-  /// Signs a vote digest (charges one sign / threshold share).
-  crypto::PartialSig sign_digest(const Hash256& digest);
-
-  /// Verifies one partial signature over a digest (charges one verify).
-  bool verify_partial(const crypto::PartialSig& sig, const Hash256& digest);
 
   /// Commits everything from the committed head up to `target` (must
   /// extend it), delivering blocks in order. If a body on the path is
@@ -257,6 +308,9 @@ class ReplicaBase {
 
   types::BlockStore store_;
   TxPool pool_;
+  /// The leader may propose the next block (set on entering a view it
+  /// leads and when the pipeline frees up; cleared by each proposal).
+  bool propose_ready_ = false;
 
   /// Pool wait of the oldest op in the last non-empty make_batch() result
   /// (observability: kBatchDequeued's b operand).
@@ -272,6 +326,21 @@ class ReplicaBase {
   ViewNumber recovery_hold_view_ = 0;
 
  private:
+  /// The leader's propose gate: proposes when it leads cview_, is ready,
+  /// and has work (or empty blocks are allowed). Not while recovering.
+  void maybe_propose();
+  /// The QC type a vote of `phase` certifies; nullopt for phases this
+  /// protocol never votes in (such votes are dropped unverified).
+  std::optional<QcType> qc_type_of(Phase phase) const;
+  /// The digest a partial signature of `type` in `view` covers for `ref`.
+  /// Protocols without virtual blocks sign the flag as false.
+  Hash256 vote_digest(QcType type, ViewNumber view, const BlockRef& ref) const;
+  /// Signs a vote digest (charges one sign / threshold share).
+  crypto::PartialSig sign_digest(const Hash256& digest);
+
+  /// Verifies one partial signature over a digest (charges one verify).
+  bool verify_partial(const crypto::PartialSig& sig, const Hash256& digest);
+
   void on_fetch_request(ReplicaId from, const types::FetchRequestMsg& msg);
   void on_fetch_response(ReplicaId from, types::FetchResponseMsg msg);
   void on_snapshot_request(ReplicaId from, const types::SnapshotRequestMsg& msg);
@@ -284,10 +353,24 @@ class ReplicaBase {
   void retry_pending_commit();
   void send_recovery_request();
   void finish_recovery();
+  void on_view_change(ReplicaId from, types::ViewChangeMsg msg);
+  /// Leader of cview_: acts once on a quorum of VIEW-CHANGEs for it.
+  void check_view_change_quorum();
   void on_timeout_notice(ReplicaId from, const types::TimeoutNoticeMsg& msg);
   /// Advances when f+1 distinct replicas (self included) have timed out at
   /// or above cview_ — to one past the highest view with f+1 timeouts.
   void check_timeout_quorum();
+
+  VoteCollector votes_;
+  std::uint8_t vote_phases_ = 0;  // bit p set: replicas vote in Phase p
+  bool virtual_blocks_ = false;
+
+  struct ViewChangeState {
+    ViewChangeSet msgs;
+    bool acted = false;  // the leader resolved this view's quorum
+  };
+  /// VIEW-CHANGEs by view; views below cview_ are dropped on view entry.
+  std::map<ViewNumber, ViewChangeState> view_changes_;
 
   std::set<Hash256> verified_qc_digests_;
   struct PendingCommit {

@@ -1353,6 +1353,41 @@ TEST(MarlinCosts, SignAndVerifyChargesAccrue) {
   }
 }
 
+TEST(MarlinCosts, VotesInPhasesMarlinNeverVotesInAreDroppedUnverified) {
+  ProtocolHarness h(Kind::kMarlin);
+  obs::TraceSink sink;
+  h.env(1).trace = &sink;  // replica 1 leads view 1
+  h.start_all();
+  h.submit_to_all(op_of(1, 1));
+  h.deliver_all();
+  ASSERT_EQ(h.replica(1).committed_height(), 1u);
+
+  // Real replicas sign the COMMIT digest of a stored block, but the votes
+  // claim PRE-COMMIT and DECIDE: phases in which Marlin never votes. A
+  // quorum of them must neither cost the leader a verification nor form a
+  // certificate.
+  const Hash256 tip_hash = h.replica(1).committed_hash();
+  const Block& tip = *h.replica(1).store().get(tip_hash);
+  const Hash256 digest =
+      types::vote_digest(kDomain, QcType::kCommit, 1, tip_hash, tip.view,
+                         tip.height, tip.parent_view, tip.virtual_block);
+  const std::uint64_t verifies_before = h.env(1).verifies;
+  const std::size_t qcs_before = count_events(sink, obs::EventType::kQcFormed);
+  for (Phase phase : {Phase::kPreCommit, Phase::kDecide}) {
+    for (ReplicaId r : {0u, 2u, 3u}) {
+      types::VoteMsg vote;
+      vote.phase = phase;
+      vote.view = 1;
+      vote.block_hash = tip_hash;
+      vote.parsig = {r, h.suite().signer(r)->sign(digest.view())};
+      h.post(r, 1, types::make_envelope(MsgKind::kVote, vote));
+    }
+  }
+  h.deliver_all();
+  EXPECT_EQ(h.env(1).verifies, verifies_before);
+  EXPECT_EQ(count_events(sink, obs::EventType::kQcFormed), qcs_before);
+}
+
 // ---------------------------------------------------------------------------
 // Happy-path eligibility
 // ---------------------------------------------------------------------------

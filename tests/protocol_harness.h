@@ -47,12 +47,15 @@ class BusEnv final : public ProtocolEnv {
     copy.ops = executable;
     delivered.push_back(std::move(copy));
   }
+  obs::TraceSink* trace_sink() override { return trace; }
   void entered_view(ViewNumber v) override { views_entered.push_back(v); }
   void progressed() override { ++progress_events; }
   void charge_signs(std::uint32_t c) override { signs += c; }
   void charge_verifies(std::uint32_t c) override { verifies += c; }
   void charge_hash_bytes(std::size_t b) override { hash_bytes += b; }
 
+  /// Optional event trace of this replica (null = untraced).
+  obs::TraceSink* trace = nullptr;
   std::vector<types::Block> delivered;
   std::vector<ViewNumber> views_entered;
   std::uint64_t progress_events = 0;
@@ -238,6 +241,13 @@ inline void BusEnv::broadcast(const types::Envelope& env) {
 /// Convenience: make a small operation.
 inline types::Operation op_of(ClientId c, RequestId r, std::size_t size = 16) {
   return types::Operation{c, r, Bytes(size, static_cast<std::uint8_t>(r))};
+}
+
+/// Events of type `t` recorded in `sink`.
+inline std::size_t count_events(const obs::TraceSink& sink, obs::EventType t) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& e : sink.events()) n += e.type == t ? 1 : 0;
+  return n;
 }
 
 /// Decodes a bus message body if it matches the kind; nullopt otherwise.
