@@ -1144,6 +1144,18 @@ class MarlinAdversarial : public ::testing::Test {
     tip_ = *h_->replica(0).store().get(h_->replica(0).committed_hash());
     tip_qc_ = h_->marlin(0).locked_qc();
 
+    // A view-2 pre-prepareQC for a virtual block above the tip; its valid
+    // vc is tip_qc_ (see good_pair()).
+    vblock_.parent_link = Hash256{};
+    vblock_.parent_view = tip_qc_.view;
+    vblock_.view = 2;
+    vblock_.height = tip_qc_.height + 1;
+    vblock_.virtual_block = true;
+    vblock_.ops = {op_of(9, 2)};
+    vblock_.justify = Justify{tip_qc_, {}};
+    pp_virtual_ =
+        forge_qc(h_->suite(), QcType::kPrePrepare, 2, vblock_, {1, 2, 3});
+
     votes_ = 0;
     h_->set_drop([this](const BusMessage& m) {
       if (m.envelope.kind == types::MsgKind::kVote) ++votes_;
@@ -1185,9 +1197,91 @@ class MarlinAdversarial : public ::testing::Test {
     return b;
   }
 
+  // The (qc, vc) pair rule — `vc` is a prepareQC of the virtual block's
+  // pview exactly one below it — also guards a VIEW-CHANGE's high_qc and a
+  // PRE-PREPARE entry's justify. The probes below send pp_virtual_ paired
+  // with a valid vc (the sanity case) or one of these bad ones.
+
+  /// The bad pairs: a vc of the wrong view, height or type, or no vc.
+  std::vector<Justify> bad_pairs() {
+    Block deeper = tip_;
+    deeper.height = tip_.height + 1;
+    return {
+        Justify{pp_virtual_,
+                forge_qc(h_->suite(), QcType::kPrepare, 2, tip_, {1, 2, 3})},
+        Justify{pp_virtual_,
+                forge_qc(h_->suite(), QcType::kPrepare, 1, deeper, {1, 2, 3})},
+        Justify{pp_virtual_,
+                forge_qc(h_->suite(), QcType::kCommit, 1, tip_, {1, 2, 3})},
+        Justify{pp_virtual_, {}},
+    };
+  }
+  Justify good_pair() const { return Justify{pp_virtual_, tip_qc_}; }
+
+  types::Envelope view_change(ReplicaId sender, ViewNumber view,
+                              const Justify& high_qc) {
+    return types::make_envelope(
+        MsgKind::kViewChange,
+        forge_view_change(h_->suite(), sender, view, BlockRef::of(tip_),
+                          high_qc));
+  }
+
+  /// f+1 VIEW-CHANGEs for view 7 carrying `high_qc`; returns replica 0's
+  /// view afterwards (7 when they forced a join).
+  ViewNumber join_probe(const Justify& high_qc) {
+    for (ReplicaId s : {1u, 2u}) h_->post(s, 0, view_change(s, 7, high_qc));
+    h_->deliver_all();
+    return h_->replica(0).current_view();
+  }
+
+  /// Replica 0 leads view 4 holding VIEW-CHANGEs from 1 and 2 (its own is
+  /// dropped, one short of a quorum); a third one, from 3, carries
+  /// `high_qc`. Returns how many view changes replica 0 resolved.
+  std::uint64_t lead_probe(const Justify& high_qc) {
+    h_->set_drop([](const BusMessage& m) {
+      return m.envelope.kind == MsgKind::kViewChange && m.from == 0;
+    });
+    for (ReplicaId s : {1u, 2u}) {
+      h_->post(s, 0, view_change(s, 4, Justify{tip_qc_, {}}));
+    }
+    h_->deliver_all();
+    EXPECT_EQ(h_->replica(0).current_view(), 4u);
+    h_->post(3, 0, view_change(3, 4, high_qc));
+    h_->deliver_all();
+    return h_->marlin(0).happy_view_changes() +
+           h_->marlin(0).unhappy_view_changes();
+  }
+
+  /// Replica 3 (leader of view 3) sends replica 0 a PRE-PREPARE entry for
+  /// the normal child of the virtual block, justified by `pair`. Returns
+  /// the votes it draws.
+  std::size_t entry_probe(const Justify& pair) {
+    for (ReplicaId s : {1u, 2u}) {
+      h_->post_bypassing(s, 0, view_change(s, 3, Justify{tip_qc_, {}}));
+    }
+    h_->deliver_all();
+    EXPECT_EQ(h_->replica(0).current_view(), 3u);
+    Block b;
+    b.parent_link = vblock_.hash();
+    b.parent_view = vblock_.view;
+    b.view = 3;
+    b.height = vblock_.height + 1;
+    b.ops = {op_of(9, 3)};
+    b.justify = pair;
+    types::ProposalMsg msg;
+    msg.phase = Phase::kPrePrepare;
+    msg.view = 3;
+    msg.entries.push_back({b, pair});
+    h_->post(3, 0, types::make_envelope(MsgKind::kProposal, msg));
+    h_->deliver_all();
+    return votes_;
+  }
+
   std::unique_ptr<ProtocolHarness> h_;
   Block tip_;
   QuorumCert tip_qc_;
+  Block vblock_;
+  QuorumCert pp_virtual_;
   std::size_t votes_ = 0;
 };
 
@@ -1284,6 +1378,39 @@ TEST_F(MarlinAdversarial, PrepareNoticeWithWrongAuxRejected) {
   h_->post(2, 0, types::make_envelope(types::MsgKind::kQcNotice, notice));
   h_->deliver_all();
   EXPECT_EQ(votes_, 0u);
+}
+
+TEST_F(MarlinAdversarial, VcRuleValidPairForcesJoin) {
+  EXPECT_EQ(join_probe(good_pair()), 7u);
+}
+
+TEST_F(MarlinAdversarial, VcRuleBadPairsDoNotForceJoin) {
+  for (const Justify& bad : bad_pairs()) {
+    SetUp();
+    EXPECT_EQ(join_probe(bad), 1u);
+  }
+}
+
+TEST_F(MarlinAdversarial, VcRuleValidPairCompletesLeaderQuorum) {
+  EXPECT_EQ(lead_probe(good_pair()), 1u);
+}
+
+TEST_F(MarlinAdversarial, VcRuleBadPairsAreNotCounted) {
+  for (const Justify& bad : bad_pairs()) {
+    SetUp();
+    EXPECT_EQ(lead_probe(bad), 0u);
+  }
+}
+
+TEST_F(MarlinAdversarial, VcRuleEntryWithValidPairDrawsVote) {
+  EXPECT_GT(entry_probe(good_pair()), 0u);
+}
+
+TEST_F(MarlinAdversarial, VcRuleEntryWithBadPairDrawsNoVote) {
+  for (const Justify& bad : bad_pairs()) {
+    SetUp();
+    EXPECT_EQ(entry_probe(bad), 0u);
+  }
 }
 
 TEST_F(MarlinAdversarial, CommitNoticeWithPrePrepareQcRejected) {

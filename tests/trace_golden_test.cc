@@ -2,8 +2,9 @@
 // 4-replica happy-path commit is pinned for Marlin and HotStuff, and the
 // full trace is byte-identical across same-seed runs (the determinism
 // property the observability layer is designed around). Fault-driven runs
-// (view changes, restarts, amnesia recovery, an equivocating leader) are
-// pinned by the SHA-256 of their full trace.
+// (view changes, restarts, amnesia recovery, an equivocating leader, a
+// partitioned replica catching up by fetch or by snapshot) are pinned by
+// the SHA-256 of their full trace.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -252,6 +253,51 @@ void check_restart_and_wipe(Cluster& c, const std::vector<TraceEvent>& ev) {
   EXPECT_FALSE(c.replica(3).protocol().recovering());
 }
 
+/// Replica 3 is cut off from the rest for `cut_for`, then rejoins and
+/// catches up through the fetch plane. A shorter `one_way_delay` commits
+/// more blocks per second, so the same cut leaves a wider gap.
+ClusterConfig partition_and_heal(ProtocolKind protocol, Duration cut_for,
+                                 Duration one_way_delay) {
+  ClusterConfig cfg = faulted_config(protocol);
+  cfg.net.one_way_delay = one_way_delay;
+  const Duration at = Duration::millis(800);
+  cfg.faults.actions = {
+      FaultAction::partition(at, {{0, 1, 2}, {3}}),
+      FaultAction::heal(at + cut_for),
+  };
+  return cfg;
+}
+
+/// Wire sends of `kind` by `node` (kMsgSent events).
+std::size_t sends_of_kind(const std::vector<TraceEvent>& events,
+                          ReplicaId node, types::MsgKind kind) {
+  std::size_t count = 0;
+  for (const TraceEvent& e : events) {
+    if (e.type == EventType::kMsgSent && e.node == node &&
+        e.kind == static_cast<std::uint8_t>(kind)) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// A short cut: replica 3 lags by less than one fetch batch and closes the
+// gap with FetchResponses alone.
+void check_fetch_catch_up(Cluster& c, const std::vector<TraceEvent>& ev) {
+  EXPECT_GT(sends_of_kind(ev, 3, types::MsgKind::kFetchRequest), 0u);
+  EXPECT_FALSE(snapshot_applied(ev, 3));
+  EXPECT_EQ(c.replica(3).protocol().committed_height(),
+            c.replica(0).protocol().committed_height());
+}
+
+// A long cut: replica 3's fetch finds the provider more than one batch
+// ahead, and the provider answers it with a snapshot.
+void check_snapshot_catch_up(Cluster& c, const std::vector<TraceEvent>& ev) {
+  EXPECT_GT(sends_of_kind(ev, 3, types::MsgKind::kFetchRequest), 0u);
+  EXPECT_TRUE(snapshot_applied(ev, 3));
+  EXPECT_GT(c.replica(3).protocol().committed_height(), 0u);
+}
+
 void check_equivocation(Cluster& c, const std::vector<TraceEvent>&) {
   EXPECT_GT(c.replica(1).byzantine().interventions(), 0u);
   EXPECT_GT(c.min_committed_height(), 0u);
@@ -312,6 +358,26 @@ TEST(GoldenTrace, NonHappyPathFingerprints) {
       {"hotstuff-equivocate", equivocating_leader(ProtocolKind::kHotStuff), 3,
        check_equivocation,
        "fa03fbc96db1aa8e38a6834117f1e22ff1f00879c3a90cd7f341f258c60e5e54"},
+      {"marlin-fetch",
+       partition_and_heal(ProtocolKind::kMarlin, Duration::millis(100),
+                          Duration::millis(40)),
+       3, check_fetch_catch_up,
+       "fc2368c7dd64dc0465be1d1e348c064238cc8cb2097b684225a95d5c4d34a966"},
+      {"hotstuff-fetch",
+       partition_and_heal(ProtocolKind::kHotStuff, Duration::millis(100),
+                          Duration::millis(40)),
+       3, check_fetch_catch_up,
+       "17a06d0a43978f4f0762be33fc145e3e7e9c22764e84f37e87f1a36e8c6150a6"},
+      {"marlin-fetch-snapshot",
+       partition_and_heal(ProtocolKind::kMarlin, Duration::millis(2000),
+                          Duration::millis(5)),
+       4, check_snapshot_catch_up,
+       "792109ba71f7f2a25902537244c44752f9aa764f17e5b87fed1f82354f4dab14"},
+      {"hotstuff-fetch-snapshot",
+       partition_and_heal(ProtocolKind::kHotStuff, Duration::millis(2000),
+                          Duration::millis(5)),
+       4, check_snapshot_catch_up,
+       "b9e953a4eb252ee2555610ffecae2ba58b9dae82b609073b9420c353f59a3660"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
