@@ -44,14 +44,8 @@ void HotStuffReplica::restore(const PersistentState& ps) {
 // Leader: proposing
 // ---------------------------------------------------------------------------
 
-void HotStuffReplica::adopt_recovery_tip(const Block& tip) {
-  // Re-anchor an amnesiac on the snapshot tip: its justify certifies the
-  // tip's (committed) parent, so after verification it is the freshest QC
-  // a replica with no durable state can trust. Raising the voted
-  // watermark to the tip and jumping to its view means we never vote
-  // again at a (view, height) our forgotten pre-wipe self may have signed.
-  if (!tip.justify.qc || !verify_qc(*tip.justify.qc)) return;
-  const QuorumCert& qc = *tip.justify.qc;
+void HotStuffReplica::adopt_recovery_tip(const Block& tip,
+                                         const QuorumCert& qc) {
   if (qc_higher(qc, prepare_qc_high_)) prepare_qc_high_ = qc;
   if (qc_higher(qc, locked_qc_)) {
     locked_qc_ = qc;
@@ -59,8 +53,6 @@ void HotStuffReplica::adopt_recovery_tip(const Block& tip) {
   }
   lb_view_ = std::max(lb_view_, std::max(tip.view, qc.view));
   lb_height_ = std::max(lb_height_, tip.height);
-  enter_view(std::max(tip.view, qc.view), /*send_view_change=*/false);
-  persist();
 }
 
 void HotStuffReplica::propose(bool force) {
@@ -72,25 +64,13 @@ void HotStuffReplica::propose(bool force) {
 // ---------------------------------------------------------------------------
 
 void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
-  if (msg.view < cview_ || msg.entries.size() != 1) return;
-  if (from != leader_of(msg.view)) return;
-  if (msg.phase != Phase::kPrepare) return;
+  if (msg.entries.size() != 1 || msg.phase != Phase::kPrepare) return;
   const Justify& j = msg.entries[0].justify;
   if (!j.qc || j.vc || j.qc->type != QcType::kPrepare) return;
-  if (msg.view > cview_) {
-    if (!verify_qc(*j.qc)) return;
-    enter_view(msg.view, /*send_view_change=*/false);
-  }
-
+  if (!admit(from, msg.view, &*j.qc)) return;
   const Block& b = msg.entries[0].block;
+  if (!extends_justify(b, j)) return;
   const QuorumCert& qc = *j.qc;
-  if (b.view != cview_ || b.virtual_block) return;
-  if (b.parent_link != qc.block_hash || b.height != qc.height + 1 ||
-      b.parent_view != qc.block_view) {
-    return;
-  }
-  if (b.justify.qc != j.qc) return;
-  if (!verify_qc(qc)) return;
 
   // safeNode: the branch extends the locked block, or the justify ranks
   // above the lock (liveness rule). Rank is (view, height), not view
@@ -110,28 +90,18 @@ void HotStuffReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
     return;
   }
 
-  env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
-  const Hash256 h = b.hash();
-  // The decoded block moves into the store: its ops keep aliasing the
-  // proposal frame and its digest stays memoized.
-  store_.insert(std::move(msg.entries[0].block));
-  const Block& stored = *store_.get(h);
-  trace({.type = obs::EventType::kProposalReceived,
-         .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = stored.height,
-         .block = trace_block_id(h),
-         .a = from});
-
-  const types::VoteMsg vote = sign_vote(Phase::kPrepare, ref_of(stored, h));
+  const BlockRef ref = ref_of(b, charged_hash(b));
+  const types::VoteMsg vote =
+      accept_block(from, Phase::kPrepare, std::move(msg.entries[0].block), ref);
 
   // Write-ahead voting: advance the voted watermark durably before the
   // vote leaves, or a crash+restart could vote again at this (view,
   // height) for a conflicting block.
-  lb_view_ = stored.view;
-  lb_height_ = stored.height;
+  lb_view_ = ref.view;
+  lb_height_ = ref.height;
   if (qc_higher(qc, prepare_qc_high_)) prepare_qc_high_ = qc;
   persist();
-  send_vote(from, vote, stored.height);
+  send_vote(from, vote, ref.height);
 }
 
 // ---------------------------------------------------------------------------
@@ -157,19 +127,7 @@ void HotStuffReplica::on_vote(ReplicaId from, types::VoteMsg msg) {
 
 void HotStuffReplica::on_qc_notice(ReplicaId from, types::QcNoticeMsg msg) {
   if (msg.aux) return;
-  if (msg.view < cview_) {
-    if (msg.phase == Phase::kDecide && msg.qc.type == QcType::kCommit &&
-        verify_qc(msg.qc)) {
-      commit_to(msg.qc.block_hash, from);
-    }
-    return;
-  }
-  if (from != leader_of(msg.view)) return;
-  if (msg.view > cview_) {
-    if (!verify_qc(msg.qc)) return;
-    enter_view(msg.view, /*send_view_change=*/false);
-  }
-
+  if (!admit(from, msg.view, &msg.qc, msg.phase == Phase::kDecide)) return;
   const QuorumCert& qc = msg.qc;
   switch (msg.phase) {
     case Phase::kPreCommit: {

@@ -29,7 +29,7 @@ class HotStuffReplica : public ReplicaBase {
   void on_proposal(ReplicaId from, types::ProposalMsg msg) override;
   void on_vote(ReplicaId from, types::VoteMsg msg) override;
   void on_qc_notice(ReplicaId from, types::QcNoticeMsg msg) override;
-  void adopt_recovery_tip(const Block& tip) override;
+  void adopt_recovery_tip(const Block& tip, const QuorumCert& qc) override;
   void propose(bool force) override;
   /// NEW-VIEW: the highest prepareQC, as both lb and high_qc.
   types::ViewChangeMsg view_change_msg() const override;

@@ -63,22 +63,14 @@ bool MarlinReplica::block_ref_rank_greater(ViewNumber bview, Height bheight,
 // Normal case — leader side
 // ---------------------------------------------------------------------------
 
-void MarlinReplica::adopt_recovery_tip(const Block& tip) {
-  // Re-anchor an amnesiac on the snapshot tip: its justify certifies the
-  // tip's (committed) parent, so after verification it is the freshest QC
-  // a replica with no durable state can trust. Raising lb_ to the tip and
-  // jumping to its view means we never vote again at a (view, height) our
-  // forgotten pre-wipe self may have signed.
-  if (!tip.justify.qc || !verify_qc(*tip.justify.qc)) return;
-  const QuorumCert& qc = *tip.justify.qc;
+void MarlinReplica::adopt_recovery_tip(const Block& tip,
+                                       const QuorumCert& qc) {
   update_high_qc(tip.justify);
   update_locked(qc);
   if (tip.view > lb_.view ||
       (tip.view == lb_.view && tip.height > lb_.height)) {
     lb_ = BlockRef::of(tip);
   }
-  enter_view(std::max(tip.view, qc.view), /*send_view_change=*/false);
-  persist();
 }
 
 void MarlinReplica::propose(bool force) {
@@ -96,14 +88,9 @@ void MarlinReplica::propose(bool force) {
 // ---------------------------------------------------------------------------
 
 void MarlinReplica::on_proposal(ReplicaId from, types::ProposalMsg msg) {
-  if (msg.view < cview_ || msg.entries.empty()) return;
-  if (from != leader_of(msg.view)) return;
-  if (msg.view > cview_) {
-    // View sync: adopt a higher view when its leader shows a valid QC.
-    const Justify& j = msg.entries[0].justify;
-    if (!j.qc || !verify_qc(*j.qc)) return;
-    enter_view(msg.view, /*send_view_change=*/false);
-  }
+  if (msg.entries.empty()) return;
+  const std::optional<QuorumCert>& sync_qc = msg.entries[0].justify.qc;
+  if (!admit(from, msg.view, sync_qc ? &*sync_qc : nullptr)) return;
   switch (msg.phase) {
     case Phase::kPrepare:
       handle_prepare_proposal(from, msg);
@@ -124,54 +111,28 @@ void MarlinReplica::handle_prepare_proposal(ReplicaId from,
 
   // Case N1: justify is a prepareQC formed in this view (genesis allowed
   // at bootstrap) and b extends its block.
-  if (!j.qc || j.vc || j.qc->type != QcType::kPrepare) return;
+  if (!j.qc || !(j.qc->view == cview_ || j.qc->is_genesis())) return;
+  if (!extends_justify(b, j)) return;
   const QuorumCert& qc = *j.qc;
-  if (b.view != cview_ || b.virtual_block) return;
-  if (!(qc.view == cview_ || qc.is_genesis())) return;
-  if (b.parent_link != qc.block_hash || b.height != qc.height + 1 ||
-      b.parent_view != qc.block_view) {
-    return;
-  }
-  if (b.justify.qc != j.qc) return;  // block's own justify must match
-  if (!verify_qc(qc)) return;
   if (!types::rank_geq(qc, locked_qc_)) return;
 
-  env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
-  const Hash256 h = b.hash();
+  const BlockRef ref = ref_of(b, charged_hash(b));
   if (!block_ref_rank_greater(b.view, b.height, b.justify)) return;
-
-  // The decoded block moves into the store: its ops keep aliasing the
-  // proposal frame and its digest stays memoized.
-  store_.insert(std::move(msg.entries[0].block));
-  const Block& stored = *store_.get(h);
-  trace({.type = obs::EventType::kProposalReceived,
-         .phase = static_cast<std::uint8_t>(Phase::kPrepare),
-         .height = stored.height,
-         .block = trace_block_id(h),
-         .a = from});
-  const types::VoteMsg vote = sign_vote(Phase::kPrepare, ref_of(stored, h));
+  const types::VoteMsg vote =
+      accept_block(from, Phase::kPrepare, std::move(msg.entries[0].block), ref);
 
   // Write-ahead voting: the voted/locked state must be durable before the
   // vote leaves this replica, or a crash+restart could vote again at the
   // same (view, height) for a different block.
-  lb_ = ref_of(stored, h);
+  lb_ = ref;
   update_high_qc(j);
   update_locked(qc);
   persist();
-  send_vote(from, vote, stored.height);
+  send_vote(from, vote, ref.height);
 }
 
 void MarlinReplica::on_qc_notice(ReplicaId from, types::QcNoticeMsg msg) {
-  if (msg.view < cview_) {
-    // Old DECIDEs still carry committable evidence.
-    if (msg.phase == Phase::kDecide) handle_decide_notice(from, msg);
-    return;
-  }
-  if (from != leader_of(msg.view)) return;
-  if (msg.view > cview_) {
-    if (!verify_qc(msg.qc)) return;
-    enter_view(msg.view, /*send_view_change=*/false);
-  }
+  if (!admit(from, msg.view, &msg.qc, msg.phase == Phase::kDecide)) return;
   switch (msg.phase) {
     case Phase::kPrepare:
       handle_prepare_notice(from, msg);
@@ -223,20 +184,8 @@ void MarlinReplica::handle_prepare_notice(ReplicaId from,
   if (qc.type != QcType::kPrePrepare || qc.view != cview_) return;
   if (!verify_qc(qc)) return;
   if (!types::rank_geq(qc, locked_qc_)) return;
-
-  if (qc.virtual_block) {
-    // Validate the (qc, vc) pair: vc certifies the virtual block's parent.
-    if (!msg.aux) return;
-    const QuorumCert& vc = *msg.aux;
-    if (vc.type != QcType::kPrepare || vc.view != qc.pview ||
-        vc.height + 1 != qc.height) {
-      return;
-    }
-    if (!verify_qc(vc)) return;
-    store_.set_virtual_parent(qc.block_hash, vc.block_hash);
-  } else if (msg.aux) {
-    return;
-  }
+  if (!vc_pair_ok(qc.type, certified(qc), msg.aux)) return;
+  if (msg.aux) store_.set_virtual_parent(qc.block_hash, msg.aux->block_hash);
 
   // Anti-forking block-rank guard: the block was proposed in this view, so
   // it outranks lb only when lb is from an older view (a second Case-N2
@@ -309,25 +258,21 @@ types::ViewChangeMsg MarlinReplica::view_change_msg() const {
   return m;
 }
 
+bool MarlinReplica::vc_pair_ok(QcType type, const BlockRef& block,
+                               const std::optional<QuorumCert>& vc) {
+  // A virtual pre-prepareQC is only meaningful with vc; no other QC has one.
+  if (type != QcType::kPrePrepare || !block.virtual_block) return !vc;
+  return vc && vc->type == QcType::kPrepare && vc->view == block.pview &&
+         vc->height + 1 == block.height && verify_qc(*vc);
+}
+
 bool MarlinReplica::view_change_justify_ok(const Justify& j) {
   if (!j.qc) return false;
   const QuorumCert& qc = *j.qc;
   if (qc.type != QcType::kPrepare && qc.type != QcType::kPrePrepare) {
     return false;
   }
-  if (!verify_qc(qc)) return false;
-  if (j.vc) {
-    if (qc.type != QcType::kPrePrepare || !qc.virtual_block) return false;
-    const QuorumCert& vc = *j.vc;
-    if (vc.type != QcType::kPrepare || vc.view != qc.pview ||
-        vc.height + 1 != qc.height) {
-      return false;
-    }
-    if (!verify_qc(vc)) return false;
-  } else if (qc.type == QcType::kPrePrepare && qc.virtual_block) {
-    return false;  // a virtual pre-prepareQC is only meaningful with vc
-  }
-  return true;
+  return verify_qc(qc) && vc_pair_ok(qc.type, certified(qc), j.vc);
 }
 
 void MarlinReplica::lead_view_change(const ViewChangeSet& msgs) {
@@ -408,20 +353,21 @@ void MarlinReplica::lead_view_change(const ViewChangeSet& msgs) {
   msg.phase = Phase::kPrePrepare;
   msg.view = v;
 
-  auto add_child = [&](const Justify& j) {
-    const QuorumCert& qc = *j.qc;
-    Block b;
-    b.parent_link = qc.block_hash;
-    b.parent_view = qc.block_view;
-    b.view = v;
-    b.height = qc.height + 1;
-    b.virtual_block = false;
-    b.ops = batch;
-    b.justify = j;
-    env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
+  // One entry: the child of j's block, or the virtual grandchild, whose
+  // pview is j's formation view (see header note).
+  auto add_entry = [&](const Justify& j, bool virtual_block) {
+    Block b = child_of(j, v, batch);
+    if (virtual_block) {
+      b.parent_link = Hash256{};
+      b.parent_view = j.qc->view;
+      b.height += 1;
+      b.virtual_block = true;
+    }
+    // A virtual block shadows the normal one's ops, hashed already.
+    env_.charge_hash_bytes(virtual_block ? kHeaderHashBytes : hash_bytes(b));
     const Hash256 h = b.hash();
     store_.insert(b);
-    st.proposed.emplace_back(h, false);
+    st.proposed.emplace_back(h, virtual_block);
     msg.entries.push_back(types::ProposalEntry{std::move(b), j});
   };
 
@@ -430,29 +376,14 @@ void MarlinReplica::lead_view_change(const ViewChangeSet& msgs) {
     const bool someone_voted_higher =
         bv && (bv->view > top.block_view ||
                (bv->view == top.block_view && bv->height > top.height));
-    add_child(*candidates[0]);  // the normal block b1
-    if (someone_voted_higher) {
-      // Case V1: add the virtual grandchild b2 (shadow ops).
-      Block b2;
-      b2.parent_link = Hash256{};
-      b2.parent_view = top.view;  // formation view (see header note)
-      b2.view = v;
-      b2.height = top.height + 2;
-      b2.virtual_block = true;
-      b2.ops = batch;
-      b2.justify = *candidates[0];
-      env_.charge_hash_bytes(128);  // ops already hashed for b1
-      const Hash256 h2 = b2.hash();
-      store_.insert(b2);
-      st.proposed.emplace_back(h2, true);
-      msg.entries.push_back(
-          types::ProposalEntry{std::move(b2), *candidates[0]});
-    }
-    // else: Case V2 — the single child suffices.
+    add_entry(*candidates[0], false);  // the normal block b1
+    // Case V1: add the virtual grandchild b2 (shadow ops). Else Case V2:
+    // the single child suffices.
+    if (someone_voted_higher) add_entry(*candidates[0], true);
   } else {
     // Case V2 (single pre-prepareQC) or V3 (two pre-prepareQCs): one child
     // per candidate, shadow-sharing the batch.
-    for (const Justify* j : candidates) add_child(*j);
+    for (const Justify* j : candidates) add_entry(*j, false);
   }
 
   broadcast(types::make_envelope(MsgKind::kProposal, msg));
@@ -509,16 +440,8 @@ void MarlinReplica::handle_preprepare_proposal(ReplicaId from,
     }
     if (!vote) continue;
 
-    env_.charge_hash_bytes(types::ops_wire_size(b.ops) + 128);
-    const Hash256 h = b.hash();
-    store_.insert(b);
-    trace({.type = obs::EventType::kProposalReceived,
-           .phase = static_cast<std::uint8_t>(Phase::kPrePrepare),
-           .height = b.height,
-           .block = trace_block_id(h),
-           .a = from});
-
-    types::VoteMsg vm = sign_vote(Phase::kPrePrepare, ref_of(b, h));
+    types::VoteMsg vm =
+        accept_block(from, Phase::kPrePrepare, b, ref_of(b, charged_hash(b)));
     if (attach_locked) vm.locked_qc = locked_qc_;
     send_vote(from, vm, b.height);
     // Pre-prepare votes update no replica state (lb/highQC/lockedQC).
@@ -544,15 +467,13 @@ void MarlinReplica::leader_check_preprepare_progress() {
       aux.reset();
       break;
     }
-    if (st.vc_candidate) {
-      const Block* b = store_.get(hash);
-      const QuorumCert& vc = *st.vc_candidate;
-      if (b && vc.view == b->parent_view && vc.height + 1 == b->height) {
-        chosen = b;
-        chosen_hash = hash;
-        aux = vc;
-        // keep scanning: a normal block formed later still wins
-      }
+    const Block* b = store_.get(hash);
+    if (b && vc_pair_ok(QcType::kPrePrepare, ref_of(*b, hash),
+                        st.vc_candidate)) {
+      chosen = b;
+      chosen_hash = hash;
+      aux = st.vc_candidate;
+      // keep scanning: a normal block formed later still wins
     }
   }
   if (!chosen) return;

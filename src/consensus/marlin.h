@@ -50,7 +50,7 @@ class MarlinReplica : public ReplicaBase {
   void on_proposal(ReplicaId from, types::ProposalMsg msg) override;
   void on_vote(ReplicaId from, types::VoteMsg msg) override;
   void on_qc_notice(ReplicaId from, types::QcNoticeMsg msg) override;
-  void adopt_recovery_tip(const Block& tip) override;
+  void adopt_recovery_tip(const Block& tip, const QuorumCert& qc) override;
   /// Case N1: a child of highQC, which must be a prepareQC of this view.
   void propose(bool force) override;
   /// VIEW-CHANGE: (lb, highQC).
@@ -86,6 +86,12 @@ class MarlinReplica : public ReplicaBase {
                                   const types::ProposalMsg& msg);
   void handle_prepare_notice(ReplicaId from, const types::QcNoticeMsg& msg);
   void leader_check_preprepare_progress();
+  /// The (qc, vc) pair rule for a QC of `type` over `block`: a
+  /// pre-prepareQC for a virtual block needs `vc`, a prepareQC certifying
+  /// the virtual block's parent (formed in its pview, one height below);
+  /// any other QC comes without one.
+  bool vc_pair_ok(QcType type, const BlockRef& block,
+                  const std::optional<QuorumCert>& vc);
 
   // -- state updates ---------------------------------------------------------
   void update_high_qc(const Justify& j);
