@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/wire_codec.h"
 #include "obs/critical_path.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -244,7 +245,7 @@ struct KindsAcc {
       const ViewEgress& v = by_kind[k];
       if (v.msgs == 0) continue;
       std::printf("  %-15s %8llu %12llu %8llu %9.2f\n",
-                  std::string(sim::net_kind_name(k)).c_str(),
+                  std::string(wire::kind_slot_name(k)).c_str(),
                   static_cast<unsigned long long>(v.msgs),
                   static_cast<unsigned long long>(v.bytes),
                   static_cast<unsigned long long>(v.authenticators),
