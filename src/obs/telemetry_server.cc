@@ -1,6 +1,5 @@
 #include "obs/telemetry_server.h"
 
-#include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -9,6 +8,8 @@
 #include <cerrno>
 #include <cstring>
 #include <vector>
+
+#include "realnet/loopback.h"
 
 namespace marlin::obs {
 
@@ -37,32 +38,12 @@ TelemetryServer::TelemetryServer(realnet::EventLoop& loop,
 TelemetryServer::~TelemetryServer() { shutdown(); }
 
 Result<std::uint16_t> TelemetryServer::listen(std::uint16_t port) {
-  const int fd =
-      socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return error(ErrorCode::kIoError, "telemetry: socket failed");
-
-  const int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    close(fd);
-    return error(ErrorCode::kUnavailable,
-                 "telemetry: bind 127.0.0.1:" + std::to_string(port) +
-                     " failed: " + std::strerror(errno));
+  auto l = realnet::listen_loopback(port, /*backlog=*/16);
+  if (!l.is_ok()) {
+    return error(l.status().code(), "telemetry: " + l.status().message());
   }
-  if (::listen(fd, 16) != 0) {
-    close(fd);
-    return error(ErrorCode::kIoError, "telemetry: listen failed");
-  }
-  socklen_t len = sizeof addr;
-  getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-
-  listen_fd_ = fd;
-  port_ = ntohs(addr.sin_port);
+  listen_fd_ = l.value().fd;
+  port_ = l.value().port;
   loop_.add_fd(listen_fd_, EPOLLIN, this);
   return port_;
 }

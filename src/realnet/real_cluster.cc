@@ -1,10 +1,5 @@
 #include "realnet/real_cluster.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -13,6 +8,7 @@
 #include <mutex>
 
 #include "obs/telemetry.h"
+#include "realnet/loopback.h"
 
 namespace marlin::realnet {
 
@@ -51,27 +47,11 @@ RealCluster::RealCluster(runtime::ClusterConfig config,
 RealCluster::~RealCluster() { stop(); }
 
 Status RealCluster::bind_listener(Node& node) {
-  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return error(ErrorCode::kIoError,
-                 "socket: " + std::string(strerror(errno)));
-  }
-  const int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(node.port);  // 0 first time; fixed port on relaunch
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      listen(fd, 64) != 0) {
-    const std::string msg = strerror(errno);
-    close(fd);
-    return error(ErrorCode::kIoError, "bind/listen: " + msg);
-  }
-  socklen_t len = sizeof addr;
-  getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  node.port = ntohs(addr.sin_port);
-  node.pending_listen_fd = fd;
+  // Port 0 the first time; the node's fixed port on relaunch.
+  auto l = listen_loopback(node.port, TcpTransport::kListenBacklog);
+  if (!l.is_ok()) return l.status();
+  node.port = l.value().port;
+  node.pending_listen_fd = l.value().fd;
   return Status::ok();
 }
 

@@ -14,12 +14,13 @@
 #include <cstring>
 #include <vector>
 
+#include "realnet/loopback.h"
+
 namespace marlin::realnet {
 
 namespace {
 
 constexpr std::size_t kReadChunk = 64u << 10;
-constexpr int kListenBacklog = 64;
 
 int make_nonblocking_socket() {
   return socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -56,25 +57,10 @@ TcpTransport::~TcpTransport() {
 }
 
 Result<std::uint16_t> TcpTransport::listen(std::uint16_t port) {
-  const int fd = make_nonblocking_socket();
-  if (fd < 0) return error(ErrorCode::kIoError, "socket: " + std::string(strerror(errno)));
-  const int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr = make_addr(Endpoint{"127.0.0.1", port});
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const std::string msg = strerror(errno);
-    close(fd);
-    return error(ErrorCode::kIoError, "bind: " + msg);
-  }
-  if (::listen(fd, kListenBacklog) != 0) {
-    const std::string msg = strerror(errno);
-    close(fd);
-    return error(ErrorCode::kIoError, "listen: " + msg);
-  }
-  socklen_t len = sizeof addr;
-  getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  adopt_listener(fd);
-  return static_cast<std::uint16_t>(ntohs(addr.sin_port));
+  auto l = listen_loopback(port, kListenBacklog);
+  if (!l.is_ok()) return l.status();
+  adopt_listener(l.value().fd);
+  return l.value().port;
 }
 
 void TcpTransport::adopt_listener(int fd) {

@@ -76,6 +76,8 @@ class TcpTransport final : public FdHandler {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
+  static constexpr int kListenBacklog = 64;
+
   /// Binds + listens on 127.0.0.1:`port` (0 = ephemeral) and registers
   /// with the loop. Returns the bound port.
   Result<std::uint16_t> listen(std::uint16_t port = 0);
