@@ -20,13 +20,15 @@
 //               simulated-seconds per wall-second
 //
 // The JSON report embeds the baseline (bench/selfperf_baseline.json,
-// captured before the zero-copy fabric landed) and the speedup against it.
+// captured before the zero-copy fabric landed) and the speedup against it,
+// and names the host's core count and the build type it was measured with.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "common/alloc_hook.h"
 #include "runtime/cluster.h"
@@ -345,7 +347,8 @@ int main(int argc, char** argv) {
   char buf[3072];
   std::snprintf(
       buf, sizeof buf,
-      "{\"schema\":\"marlin/selfperf/v1\",\"quick\":%s,\n"
+      "{\"schema\":\"marlin/selfperf/v2\",\"quick\":%s,"
+      "\"hardware_concurrency\":%u,\"build_type\":\"%s\",\n"
       " \"engine\":{\"events\":%llu,\"wall_ns\":%llu,"
       "\"events_per_sec\":%.0f,\"allocs\":%llu,\"allocs_per_event\":%.4f},\n"
       " \"workload\":{\"n\":%u,\"sim_seconds\":%.3f,\"events\":%llu,"
@@ -357,8 +360,8 @@ int main(int argc, char** argv) {
       "\"allocs_per_event\":%.4f,\"committed_ops\":%llu},\n"
       " \"baseline_loaded\":%s,"
       "\"speedup_vs_baseline\":{\"engine\":%.3f,\"workload\":%.3f}}\n",
-      quick ? "true" : "false",
-      static_cast<unsigned long long>(eng.events),
+      quick ? "true" : "false", std::thread::hardware_concurrency(),
+      MARLIN_BUILD_TYPE, static_cast<unsigned long long>(eng.events),
       static_cast<unsigned long long>(eng.wall_ns), eng.events_per_sec(),
       static_cast<unsigned long long>(eng.allocs), eng.allocs_per_event(),
       wl.n, wl.sim_seconds, static_cast<unsigned long long>(wl.events),
